@@ -9,12 +9,14 @@ snippets; *semantic matching* then annotates each snippet with
   snippet's time coverage),
 - a **temporal annotation** (the snippet's time range),
 
-yielding the paper's mobility-semantics triplets. Runs distributed per
-device via ``applyInPandas`` with the DSM and model broadcast.
+yielding the paper's mobility-semantics triplets. Runs distributed through
+the shared :func:`~.stage.per_device` runner, with the DSM and model
+broadcast.
 """
 from __future__ import annotations
 
-import numpy as np
+from functools import partial
+
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
@@ -28,6 +30,7 @@ from .splitting import (
     DEFAULT_WINDOW_S,
     split_sequence,
 )
+from .stage import per_device
 
 SEMANTICS_SCHEMA = T.StructType(
     [
@@ -58,8 +61,7 @@ def _segment_by_region(
     ents = dsm.locate_entities(
         g["x"].to_numpy(), g["y"].to_numpy(), g["floor"].to_numpy()
     )
-    lookup = {eid: dsm.entity_region(eid) for eid in dsm.entities}
-    regions = [None if e is None else lookup.get(e) for e in ents]
+    regions = [None if e is None else dsm.entity_region(e) for e in ents]
     runs: list[tuple[list[int], str | None]] = []
     for i, r in enumerate(regions):
         if runs and runs[-1][1] == r:
@@ -83,8 +85,7 @@ def dominant_region(
     ents = dsm.locate_entities(
         snippet["x"].to_numpy(), snippet["y"].to_numpy(), snippet["floor"].to_numpy()
     )
-    lookup = {eid: dsm.entity_region(eid) for eid in dsm.entities}
-    regions = [lookup.get(e) for e in ents if e is not None]
+    regions = [dsm.entity_region(e) for e in ents if e is not None]
     regions = [r for r in regions if r is not None]
     if not regions:
         return None
@@ -164,17 +165,7 @@ def annotate(
     min_snippet_s: float = DEFAULT_MIN_SNIPPET_S,
 ) -> DataFrame:
     """Distributed annotation of all devices' cleaned sequences."""
-    spark = cleaned.sparkSession
-    bc = spark.sparkContext.broadcast((dsm, model))
-
-    def _annotate(pdf: pd.DataFrame) -> pd.DataFrame:
-        d, m = bc.value
-        return annotate_sequence(
-            pdf, d, m, eps_m=eps_m, window_s=window_s, min_snippet_s=min_snippet_s
-        )
-
-    return (
-        cleaned.repartition("device_id")
-        .groupBy("device_id")
-        .applyInPandas(_annotate, schema=SEMANTICS_SCHEMA)
+    kernel = partial(
+        annotate_sequence, eps_m=eps_m, window_s=window_s, min_snippet_s=min_snippet_s
     )
+    return per_device(cleaned, kernel, SEMANTICS_SCHEMA, dsm, model)

@@ -13,12 +13,15 @@ topology-only Complementor baseline for T4 lives in
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
 from ..dsm.model import DigitalSpaceModel
 from .annotation import SEMANTICS_COLUMNS, SEMANTICS_SCHEMA, dominant_region
+from .stage import per_device
 
 #: Below this average speed (m/s) a run counts as a stop, per [12]-style
 #: velocity-threshold segmentation.
@@ -108,16 +111,5 @@ def stop_move_baseline(
 ) -> DataFrame:
     """Distributed stop/move baseline over all devices (no cleaning, no
     learning, no topology, no complementing)."""
-    spark = raw.sparkSession
-    bc = spark.sparkContext.broadcast(dsm)
-
-    def _run(pdf: pd.DataFrame) -> pd.DataFrame:
-        return stop_move_sequence(
-            pdf, bc.value, stop_speed=stop_speed, min_stop_s=min_stop_s
-        )
-
-    return (
-        raw.repartition("device_id")
-        .groupBy("device_id")
-        .applyInPandas(_run, schema=SEMANTICS_SCHEMA)
-    )
+    kernel = partial(stop_move_sequence, stop_speed=stop_speed, min_stop_s=min_stop_s)
+    return per_device(raw, kernel, SEMANTICS_SCHEMA, dsm)

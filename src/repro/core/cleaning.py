@@ -12,20 +12,23 @@ Implementation: each device's time-ordered sequence is cleaned by a
 sequential anchor scan (a record is valid if it is indoor-reachable from
 the last valid record within the walking-speed budget), then invalid
 runs are re-placed along the indoor shortest path between their flanking
-valid anchors, time-proportionally. The scan runs distributed — one
-``applyInPandas`` group per device — with the DSM/graph broadcast.
+valid anchors, time-proportionally. The scan runs distributed through
+the shared :func:`~.stage.per_device` runner, with the DSM and graph
+broadcast.
 """
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from ..dsm.geometry import point_along_polyline, polyline_length
 from ..dsm.graph import IndoorGraph
 from ..dsm.model import DigitalSpaceModel
+from .stage import per_device
 
 #: Indoor walking-speed bound (m/s) — people cannot move faster indoors.
 DEFAULT_VMAX = 3.0
@@ -39,6 +42,14 @@ CLEANED_SCHEMA = T.StructType(
         T.StructField("y", T.DoubleType(), False),
         T.StructField("floor", T.IntegerType(), False),
         T.StructField("repair", T.StringType(), False),  # none|floor|interp
+    ]
+)
+
+VIOLATION_SCHEMA = T.StructType(
+    [
+        T.StructField("device_id", T.StringType(), False),
+        T.StructField("n_pairs", T.LongType(), False),
+        T.StructField("n_violations", T.LongType(), False),
     ]
 )
 
@@ -88,7 +99,7 @@ def clean_sequence(
 
     # Floor value correction, pass 1: neighborhood majority. Floor flips
     # are sporadic, so a record disagreeing with a strict majority of its
-    # ±2 neighbors is wrong. (Genuine staircase transitions look like a
+    # ±5 neighbors is wrong. (Genuine staircase transitions look like a
     # step function and survive: each boundary record still agrees with
     # the majority of its window.) This must precede the speed scan —
     # floors of identical floorplans are indistinguishable by XY speed,
@@ -186,6 +197,42 @@ def clean_sequence(
     return out
 
 
+def violation_sequence(
+    pdf: pd.DataFrame,
+    dsm: DigitalSpaceModel,
+    graph: IndoorGraph,
+    *,
+    vmax: float = DEFAULT_VMAX,
+) -> pd.DataFrame:
+    """Count one device's speed-constraint violations: consecutive
+    record pairs whose indoor speed is above ``vmax``."""
+    g = pdf.sort_values("ts")
+    x = g["x"].to_numpy(dtype=float)
+    y = g["y"].to_numpy(dtype=float)
+    fl = g["floor"].to_numpy(dtype=int)
+    ts = g["ts"].to_numpy(dtype=float)
+    ent = list(dsm.locate_entities(x, y, fl))
+    viol = 0
+    for i in range(len(g) - 1):
+        if not _indoor_speed_ok(
+            graph,
+            (x[i], y[i], fl[i]),
+            (x[i + 1], y[i + 1], fl[i + 1]),
+            ent[i],
+            ent[i + 1],
+            ts[i + 1] - ts[i],
+            vmax,
+        ):
+            viol += 1
+    return pd.DataFrame(
+        {
+            "device_id": [g["device_id"].iloc[0]],
+            "n_pairs": [max(0, len(g) - 1)],
+            "n_violations": [viol],
+        }
+    )
+
+
 def _majority_floor(floor: np.ndarray, half_window: int = 5) -> np.ndarray:
     """Replace each floor value by the mode of its ±half_window
     neighborhood; ties keep the current value.
@@ -232,22 +279,8 @@ def clean(
     vmax: float = DEFAULT_VMAX,
 ) -> DataFrame:
     """Distributed cleaning: one group per device, DSM broadcast."""
-    spark = raw.sparkSession
-    graph = IndoorGraph(dsm)
-    bc = spark.sparkContext.broadcast((dsm, graph))
-
-    def _clean(pdf: pd.DataFrame) -> pd.DataFrame:
-        d, gph = bc.value
-        out = clean_sequence(pdf, d, gph, vmax=vmax)
-        return out[
-            ["device_id", "record_id", "ts", "x", "y", "floor", "repair"]
-        ].astype({"floor": "int32"})
-
-    return (
-        raw.repartition("device_id")
-        .groupBy("device_id")
-        .applyInPandas(_clean, schema=CLEANED_SCHEMA)
-    )
+    kernel = partial(clean_sequence, vmax=vmax)
+    return per_device(raw, kernel, CLEANED_SCHEMA, dsm, IndoorGraph(dsm))
 
 
 def violation_stats(
@@ -255,45 +288,5 @@ def violation_stats(
 ) -> DataFrame:
     """Per-device count of speed-constraint violations (consecutive-pair
     indoor speed above ``vmax``) — the Cleaner's acceptance metric."""
-    spark = records.sparkSession
-    graph = IndoorGraph(dsm)
-    bc = spark.sparkContext.broadcast((dsm, graph))
-    schema = T.StructType(
-        [
-            T.StructField("device_id", T.StringType(), False),
-            T.StructField("n_pairs", T.LongType(), False),
-            T.StructField("n_violations", T.LongType(), False),
-        ]
-    )
-
-    def _stats(pdf: pd.DataFrame) -> pd.DataFrame:
-        d, gph = bc.value
-        g = pdf.sort_values("ts")
-        x = g["x"].to_numpy(dtype=float)
-        y = g["y"].to_numpy(dtype=float)
-        fl = g["floor"].to_numpy(dtype=int)
-        ts = g["ts"].to_numpy(dtype=float)
-        ent = list(d.locate_entities(x, y, fl))
-        viol = 0
-        for i in range(len(g) - 1):
-            if not _indoor_speed_ok(
-                gph,
-                (x[i], y[i], fl[i]),
-                (x[i + 1], y[i + 1], fl[i + 1]),
-                ent[i],
-                ent[i + 1],
-                ts[i + 1] - ts[i],
-                vmax,
-            ):
-                viol += 1
-        return pd.DataFrame(
-            {
-                "device_id": [g["device_id"].iloc[0]],
-                "n_pairs": [max(0, len(g) - 1)],
-                "n_violations": [viol],
-            }
-        )
-
-    return (
-        records.repartition("device_id").groupBy("device_id").applyInPandas(_stats, schema=schema)
-    )
+    kernel = partial(violation_sequence, vmax=vmax)
+    return per_device(records, kernel, VIOLATION_SCHEMA, dsm, IndoorGraph(dsm))

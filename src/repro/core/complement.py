@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -25,6 +26,7 @@ from pyspark.sql import functions as F
 
 from ..dsm.model import DigitalSpaceModel
 from .annotation import SEMANTICS_COLUMNS, SEMANTICS_SCHEMA
+from .stage import per_device
 
 #: Consecutive semantics further apart than this are a gap to complement.
 DEFAULT_GAP_THRESHOLD_S = 60.0
@@ -148,20 +150,11 @@ def complement(
     mode: str = "map",
 ) -> DataFrame:
     """Distributed complementing of all devices' semantics sequences."""
-    spark = semantics.sparkSession
-    adjacency = dsm.region_adjacency()
-    bc = spark.sparkContext.broadcast((dsm, adjacency, trans_counts))
-
-    def _complement(pdf: pd.DataFrame) -> pd.DataFrame:
-        d, adj, tc = bc.value
-        return complement_sequence(
-            pdf, d, adj, tc, gap_threshold_s=gap_threshold_s, alpha=alpha, mode=mode
-        )
-
-    return (
-        semantics.repartition("device_id")
-        .groupBy("device_id")
-        .applyInPandas(_complement, schema=SEMANTICS_SCHEMA)
+    kernel = partial(
+        complement_sequence, gap_threshold_s=gap_threshold_s, alpha=alpha, mode=mode
+    )
+    return per_device(
+        semantics, kernel, SEMANTICS_SCHEMA, dsm, dsm.region_adjacency(), trans_counts
     )
 
 

@@ -63,10 +63,6 @@ def error_summary(err: DataFrame) -> dict[str, float]:
 # ----------------------------------------------------------------------
 # T3 — semantics quality
 # ----------------------------------------------------------------------
-def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
-    return max(0.0, min(a1, b1) - max(a0, b0))
-
-
 def match_semantics(pred: pd.DataFrame, gt: pd.DataFrame) -> pd.DataFrame:
     """Best-overlap match per ground-truth interval, per device.
 
@@ -229,17 +225,6 @@ def _is_subsequence(needle: list, haystack: list) -> bool:
     """True when ``needle`` appears in ``haystack`` in order (gaps allowed)."""
     it = iter(haystack)
     return all(any(x == y for y in it) for x in needle)
-
-
-def hall_regions(dsm) -> set[str]:
-    """Region ids whose entities are corridors — the transit regions."""
-    from ..dsm.entities import CORRIDOR
-
-    return {
-        rid
-        for rid, r in dsm.regions.items()
-        if any(dsm.entities[e].kind == CORRIDOR for e in r.entity_ids)
-    }
 
 
 def _dedup(seq: list) -> list:

@@ -29,6 +29,7 @@ class DigitalSpaceModel:
         self.doors: dict[str, Door] = {}
         self.stairs: dict[str, Staircase] = {}
         self.regions: dict[str, SemanticRegion] = {}
+        self._entity_region: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -51,10 +52,14 @@ class DigitalSpaceModel:
         self.stairs[s.stair_id] = s
 
     def add_region(self, r: SemanticRegion) -> None:
+        if r.region_id in self.regions:
+            raise ValueError(f"duplicate region {r.region_id}")
         for eid in r.entity_ids:
             if eid not in self.entities:
                 raise ValueError(f"region {r.region_id} references unknown entity {eid}")
         self.regions[r.region_id] = r
+        for eid in r.entity_ids:
+            self._entity_region.setdefault(eid, r.region_id)
 
     # ------------------------------------------------------------------
     # Topology
@@ -77,11 +82,18 @@ class DigitalSpaceModel:
 
     def entity_region(self, entity_id: str) -> str | None:
         """Region covering ``entity_id`` (entities map to at most one
-        region in this model), or None for untagged entities."""
-        for r in self.regions.values():
-            if entity_id in r.entity_ids:
-                return r.region_id
-        return None
+        region in this model; otherwise the first region added wins), or
+        None for untagged entities."""
+        return self._entity_region.get(entity_id)
+
+    def hall_regions(self) -> set[str]:
+        """Regions covering a corridor: the transit regions. Every other
+        region is a shop."""
+        return {
+            rid
+            for rid, r in self.regions.items()
+            if any(self.entities[e].kind == CORRIDOR for e in r.entity_ids)
+        }
 
     def region_neighbors(self, region_id: str) -> list[str]:
         """Regions adjacent to ``region_id``: their entities are joined

@@ -26,7 +26,6 @@ from .core.complement import complement_sequence
 from .core.evaluate import (
     complement_scores,
     error_summary,
-    hall_regions,
     positioning_error,
     semantics_scores,
 )
@@ -213,7 +212,7 @@ def table4(spark: SparkSession, *, sf: float = 0.1, seed: int = 0) -> pd.DataFra
     sem = res.semantics.toPandas()
     trans_counts = knowledge_to_dict(res.knowledge)
     adjacency = dsm.region_adjacency()
-    halls = hall_regions(dsm)
+    halls = dsm.hall_regions()
 
     rows = []
     for mode in ("map", "hops"):

@@ -34,15 +34,6 @@ RECORD_COLUMNS = ["device_id", "record_id", "ts", "x", "y", "floor"]
 SEMANTIC_COLUMNS = ["device_id", "seq", "event", "region_id", "t_start", "t_end"]
 
 
-def _shop_regions(dsm: DigitalSpaceModel) -> list[str]:
-    out = []
-    for r in dsm.regions.values():
-        kinds = {dsm.entities[eid].kind for eid in r.entity_ids}
-        if CORRIDOR not in kinds:
-            out.append(r.region_id)
-    return sorted(out)
-
-
 def _walk_waypoints(
     graph: IndoorGraph,
     t: float,
@@ -81,7 +72,7 @@ def simulate_device(
     p_floor_switch: float = 0.3,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Simulate one shopper; returns (records, semantics) pandas frames."""
-    shops = _shop_regions(dsm)
+    shops = sorted(set(dsm.regions) - dsm.hall_regions())
     floors = sorted({r.floor for r in dsm.regions.values()})
     by_floor = {
         f: [rid for rid in shops if dsm.regions[rid].floor == f] for f in floors
@@ -186,9 +177,8 @@ def ground_truth_semantics(
             records["x"].to_numpy(), records["y"].to_numpy(), records["floor"].to_numpy()
         )
     )
-    lookup = {eid: dsm.entity_region(eid) for eid in dsm.entities}
     region_ids = np.array(
-        [None if e is None else lookup.get(e) for e in regions], dtype=object
+        [None if e is None else dsm.entity_region(e) for e in regions], dtype=object
     )
     ts = records["ts"].to_numpy()
     device = records["device_id"].iloc[0] if len(records) else None
@@ -218,15 +208,11 @@ def ground_truth_semantics(
         else:
             final.append(run)
 
-    corridor_regions = {
-        rid
-        for rid, r in dsm.regions.items()
-        if any(dsm.entities[e].kind == CORRIDOR for e in r.entity_ids)
-    }
+    halls = dsm.hall_regions()
     rows = []
     for seq, (rid, t0, t1, _n) in enumerate(final):
         dur = t1 - t0 + period_s
-        is_stay = rid not in corridor_regions and dur >= stay_threshold_s
+        is_stay = rid not in halls and dur >= stay_threshold_s
         rows.append(
             {
                 "device_id": device,

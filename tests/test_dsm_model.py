@@ -50,6 +50,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown entity"):
             d.add_region(SemanticRegion("rX", "X", 1, ["nope"]))
 
+    def test_duplicate_region_rejected(self):
+        d = tiny_dsm()
+        with pytest.raises(ValueError, match="duplicate region"):
+            d.add_region(SemanticRegion("rA", "Shop A", 1, ["roomA"]))
+
 
 class TestTopology:
     def test_entity_neighbors_through_door(self):
@@ -61,6 +66,12 @@ class TestTopology:
         d = tiny_dsm()
         assert d.entity_region("roomA") == "rA"
         assert d.entity_region("hall") == "rH"
+        assert d.entity_region("nope") is None
+
+    def test_entity_region_first_region_wins(self):
+        d = tiny_dsm()
+        d.add_region(SemanticRegion("rA2", "Shop A annex", 1, ["roomA"]))
+        assert d.entity_region("roomA") == "rA"
 
     def test_region_neighbors(self):
         d = tiny_dsm()

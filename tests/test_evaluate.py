@@ -6,7 +6,6 @@ import pytest
 from repro.core.evaluate import (
     _dedup,
     complement_scores,
-    hall_regions,
     match_semantics,
     semantics_scores,
 )
@@ -200,5 +199,5 @@ class TestHelpers:
 
     def test_hall_regions(self):
         mall = build_mall(n_floors=2, shops_per_side=4, hall_sections=3)
-        halls = hall_regions(mall)
+        halls = mall.hall_regions()
         assert halls == {f"R-F{f}-hall{j}" for f in (1, 2) for j in range(3)}

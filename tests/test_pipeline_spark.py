@@ -1,11 +1,18 @@
 """Integration tests of the distributed three-layer Translator."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core import (
     SEMANTICS_COLUMNS,
+    SEMANTICS_SCHEMA,
+    annotate_sequence,
+    build_knowledge,
+    clean_sequence,
+    complement_sequence,
     find_gaps,
+    knowledge_to_dict,
     stop_move_baseline,
     violation_stats,
 )
@@ -15,6 +22,7 @@ from repro.core.evaluate import (
     positioning_error,
     semantics_scores,
 )
+from repro.dsm import IndoorGraph
 
 
 class TestCleanedOutput:
@@ -130,3 +138,77 @@ class TestTranslationResult:
     def test_all_stages_exposed(self, translation):
         for attr in ("raw", "cleaned", "semantics", "knowledge", "complemented"):
             assert getattr(translation, attr) is not None
+
+
+def _canonical(sem: pd.DataFrame) -> pd.DataFrame:
+    """Semantics sorted by ``(device_id, seq)`` with one dtype per
+    column, so frames from Spark and from pandas compare exactly."""
+    out = sem[SEMANTICS_COLUMNS].astype(
+        {
+            "seq": "int64",
+            "n_records": "int64",
+            "t_start": "float64",
+            "t_end": "float64",
+            "inferred": bool,
+        }
+    )
+    for c in ("device_id", "event", "region_id", "tag"):
+        out[c] = out[c].astype(object).where(out[c].notna(), None)
+    return out.sort_values(["device_id", "seq"]).reset_index(drop=True)
+
+
+def _shuffle_exchanges(df) -> int:
+    """Shuffle exchanges in the final plan that materialised ``df``,
+    including the plans of the cached stages it reads."""
+    seen: set[int] = set()
+
+    def walk(node) -> None:
+        kind = node.getClass().getSimpleName()
+        if kind == "AdaptiveSparkPlanExec":
+            return walk(node.executedPlan())
+        if kind == "InMemoryTableScanExec":
+            walk(node.relation().cachedPlan())
+        elif kind.endswith("QueryStageExec"):
+            return walk(node.plan())
+        elif kind == "ShuffleExchangeExec":
+            seen.add(node.id())
+        children = node.children()
+        for i in range(children.size()):
+            walk(children.apply(i))
+
+    walk(df._jdf.queryExecution().executedPlan())
+    return len(seen)
+
+
+class TestSparkEqualsSerial:
+    def test_complemented_equals_serial_kernels(self, spark, scenario, event_model, translation):
+        """The distributed translation equals the per-device kernels run
+        one device at a time, row for row."""
+        dsm = scenario["dsm"]
+        graph = IndoorGraph(dsm)
+        by_device = scenario["raw_pdf"].groupby("device_id", sort=True)
+        cleaned = [clean_sequence(g, dsm, graph) for _, g in by_device]
+        semantics = pd.concat(
+            [annotate_sequence(c, dsm, event_model) for c in cleaned], ignore_index=True
+        )[SEMANTICS_COLUMNS]
+        trans_counts = knowledge_to_dict(
+            build_knowledge(spark.createDataFrame(semantics, SEMANTICS_SCHEMA))
+        )
+        adjacency = dsm.region_adjacency()
+        serial = pd.concat(
+            [
+                complement_sequence(g, dsm, adjacency, trans_counts)
+                for _, g in semantics.groupby("device_id", sort=True)
+            ],
+            ignore_index=True,
+        )
+        got = _canonical(translation.complemented.toPandas())
+        pd.testing.assert_frame_equal(got, _canonical(serial), check_exact=True)
+
+
+class TestPlan:
+    def test_one_shuffle_per_device_stage(self, translation):
+        """Clean, annotate and complement each shuffle once by device;
+        no other exchange is in the plan."""
+        translation.complemented.toPandas()
+        assert _shuffle_exchanges(translation.complemented) == 3
