@@ -15,8 +15,11 @@ broadcast.
 """
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from functools import partial
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
@@ -49,49 +52,25 @@ SEMANTICS_SCHEMA = T.StructType(
 SEMANTICS_COLUMNS = [f.name for f in SEMANTICS_SCHEMA.fields]
 
 
-def _segment_by_region(
-    dsm: DigitalSpaceModel, grp: pd.DataFrame
-) -> list[tuple[pd.DataFrame, str | None]]:
-    """Split a move snippet into per-region runs (time-ordered).
-
-    Single-record runs are location-noise flicker and are absorbed into
-    the preceding run, mirroring the ground-truth RLE convention.
-    """
-    g = grp.sort_values("ts")
-    ents = dsm.locate_entities(
-        g["x"].to_numpy(), g["y"].to_numpy(), g["floor"].to_numpy()
-    )
-    regions = [None if e is None else dsm.entity_region(e) for e in ents]
-    runs: list[tuple[list[int], str | None]] = []
-    for i, r in enumerate(regions):
-        if runs and runs[-1][1] == r:
-            runs[-1][0].append(i)
-        else:
-            runs.append(([i], r))
-    absorbed: list[tuple[list[int], str | None]] = []
-    for idxs, r in runs:
-        if len(idxs) == 1 and absorbed:
-            absorbed[-1][0].extend(idxs)
-        else:
-            absorbed.append((idxs, r))
-    return [(g.iloc[idxs], r) for idxs, r in absorbed]
+def label_runs(labels: Sequence) -> list[tuple[int, int]]:
+    """Half-open ``(start, end)`` bounds of the maximal runs of equal
+    labels, in order. Two ``None`` labels are equal."""
+    if len(labels) == 0:
+        return []
+    v = np.asarray(labels, dtype=object)
+    bounds = [0, *(np.flatnonzero(v[1:] != v[:-1]) + 1).tolist(), len(v)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-def dominant_region(
-    dsm: DigitalSpaceModel, snippet: pd.DataFrame
-) -> str | None:
-    """Spatial matching: the semantic region covering the most records of
-    the snippet (ties break lexicographically for determinism)."""
-    ents = dsm.locate_entities(
-        snippet["x"].to_numpy(), snippet["y"].to_numpy(), snippet["floor"].to_numpy()
-    )
-    regions = [dsm.entity_region(e) for e in ents if e is not None]
-    regions = [r for r in regions if r is not None]
-    if not regions:
+def dominant_region(regions: Sequence[str | None]) -> str | None:
+    """Spatial matching: the semantic region covering the most of the
+    given records (ties break lexicographically for determinism), or None
+    when no record lies in a region."""
+    counts = Counter(r for r in regions if r is not None)
+    if not counts:
         return None
-    counts = pd.Series(regions).value_counts()
-    top = counts[counts == counts.max()]
-    return sorted(top.index)[0]
+    top = max(counts.values())
+    return min(r for r, c in counts.items() if c == top)
 
 
 def annotate_sequence(
@@ -104,41 +83,41 @@ def annotate_sequence(
     min_snippet_s: float = DEFAULT_MIN_SNIPPET_S,
 ) -> pd.DataFrame:
     """Annotate one device's cleaned sequence into mobility semantics."""
-    with_snippets = split_sequence(
+    g = split_sequence(
         pdf, eps_m=eps_m, window_s=window_s, min_snippet_s=min_snippet_s
     )
-    if with_snippets.empty:
+    if g.empty:
         return pd.DataFrame(columns=SEMANTICS_COLUMNS)
-    device = with_snippets["device_id"].iloc[0]
+    device = g["device_id"].iloc[0]
+    regions = dsm.locate_regions(
+        g["x"].to_numpy(), g["y"].to_numpy(), g["floor"].to_numpy()
+    )
 
-    # Spatial matching first. Dense (stay-candidate) snippets match to
-    # their dominant region as a whole; sparse (move) snippets traverse
-    # several regions, so they are segmented into per-region runs — each
-    # corridor or shop crossed is its own pass-by candidate, as in the
-    # paper's Table 1. Consecutive candidates matched to the same region
-    # then merge into one *visit* (noise may fragment a dwell, but a
-    # visit is a single mobility semantics). Event identification runs
-    # once per visit, on the full visit span.
-    candidates: list[tuple[pd.DataFrame, str | None]] = []
-    for _sid, grp in with_snippets.groupby("snippet_id", sort=True):
-        if bool(grp["dense"].iloc[0]):
-            candidates.append((grp, dominant_region(dsm, grp)))
-        else:
-            candidates.extend(_segment_by_region(dsm, grp))
-    visits: list[pd.DataFrame] = []
-    visit_regions: list[str | None] = []
-    for grp, region in candidates:
-        if visits and visit_regions[-1] == region:
-            visits[-1] = pd.concat([visits[-1], grp])
-        else:
-            visits.append(grp)
-            visit_regions.append(region)
+    # Spatial matching first: every record gets a visit label. Dense
+    # (stay-candidate) snippets match to their dominant region as a
+    # whole; sparse (move) snippets traverse several regions, so each of
+    # their records keeps its own region — each corridor or shop crossed
+    # is its own pass-by candidate, as in the paper's Table 1. A
+    # single-record run inside a move snippet is location-noise flicker
+    # and takes the label before it, mirroring the ground-truth RLE
+    # convention. A *visit* is a maximal run of equal labels (noise may
+    # fragment a dwell, but a visit is a single mobility semantics).
+    # Event identification runs once per visit, on the full visit span.
+    labels = list(regions)
+    for a, b in label_runs(g["snippet_id"].to_numpy()):
+        if g["dense"].iat[a]:
+            labels[a:b] = [dominant_region(regions[a:b])] * (b - a)
+            continue
+        for c, d in label_runs(regions[a:b])[1:]:
+            if d - c == 1:
+                labels[a + c] = labels[a + c - 1]
+    visits = [(g.iloc[a:b], labels[a]) for a, b in label_runs(labels)]
     feats = pd.DataFrame(
-        [segment_features(v) for v in visits], columns=FEATURE_NAMES
+        [segment_features(v) for v, _ in visits], columns=FEATURE_NAMES
     )
     events = model.predict(feats)
     rows = []
-    for seq, (grp, region, event) in enumerate(zip(visits, visit_regions, events)):
+    for seq, ((grp, region), event) in enumerate(zip(visits, events)):
         rows.append(
             {
                 "device_id": device,

@@ -20,7 +20,12 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from ..dsm.model import DigitalSpaceModel
-from .annotation import SEMANTICS_COLUMNS, SEMANTICS_SCHEMA, dominant_region
+from .annotation import (
+    SEMANTICS_COLUMNS,
+    SEMANTICS_SCHEMA,
+    dominant_region,
+    label_runs,
+)
 from .stage import per_device
 
 #: Below this average speed (m/s) a run counts as a stop, per [12]-style
@@ -56,50 +61,37 @@ def stop_move_sequence(
             speed[1:] = np.where(dt > 0, step / dt, 0.0)
         speed[0] = speed[1]
     slow = speed <= stop_speed
+    regions = dsm.locate_regions(x, y, g["floor"].to_numpy())
 
     # Runs of slow records are stop candidates; sub-threshold stops fall
-    # back to moves (the [12] minimal-stop-duration rule).
-    run_id = np.zeros(n, dtype=np.int64)
-    for i in range(1, n):
-        run_id[i] = run_id[i - 1] + (1 if slow[i] != slow[i - 1] else 0)
-    rows = []
+    # back to moves (the [12] minimal-stop-duration rule). Consecutive
+    # runs that end up with the same (event, region) merge — threshold
+    # flicker otherwise fragments the output.
     device = g["device_id"].iloc[0]
-    for rid in np.unique(run_id):
-        mask = run_id == rid
-        grp = g[mask]
-        dur = float(grp["ts"].max() - grp["ts"].min())
-        is_stop = bool(slow[mask][0]) and dur >= min_stop_s
-        region = dominant_region(dsm, grp)
-        rows.append(
+    visits: list[dict] = []
+    for a, b in label_runs(slow):
+        is_stop = bool(slow[a]) and ts[b - 1] - ts[a] >= min_stop_s
+        event = "stay" if is_stop else "pass-by"
+        region = dominant_region(regions[a:b])
+        last = visits[-1] if visits else None
+        if last and last["event"] == event and last["region_id"] == region:
+            last["t_end"] = float(ts[b - 1])
+            last["n_records"] += b - a
+            continue
+        visits.append(
             {
                 "device_id": device,
-                "seq": int(rid),
-                "event": "stay" if is_stop else "pass-by",
+                "seq": len(visits),
+                "event": event,
                 "region_id": region,
                 "tag": dsm.regions[region].tag if region else None,
-                "t_start": float(grp["ts"].min()),
-                "t_end": float(grp["ts"].max()),
-                "n_records": int(mask.sum()),
+                "t_start": float(ts[a]),
+                "t_end": float(ts[b - 1]),
+                "n_records": b - a,
                 "inferred": False,
             }
         )
-    out = pd.DataFrame(rows, columns=SEMANTICS_COLUMNS)
-    # Merge consecutive runs that ended up with the same (event, region)
-    # — threshold flicker otherwise fragments the output.
-    merged: list[dict] = []
-    for r in out.sort_values("t_start").to_dict("records"):
-        if (
-            merged
-            and merged[-1]["event"] == r["event"]
-            and merged[-1]["region_id"] == r["region_id"]
-        ):
-            merged[-1]["t_end"] = r["t_end"]
-            merged[-1]["n_records"] += r["n_records"]
-        else:
-            merged.append(r)
-    out = pd.DataFrame(merged, columns=SEMANTICS_COLUMNS)
-    out["seq"] = np.arange(len(out), dtype=np.int64)
-    return out
+    return pd.DataFrame(visits, columns=SEMANTICS_COLUMNS)
 
 
 def stop_move_baseline(

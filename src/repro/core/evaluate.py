@@ -108,9 +108,7 @@ def semantics_scores(pred: pd.DataFrame, gt: pd.DataFrame) -> dict[str, float]:
     agrees.
     """
     fwd = match_semantics(pred, gt)  # gt -> best pred
-    bwd = match_semantics(
-        gt.rename(columns={}), pred
-    )  # pred treated as "gt" to score precision
+    bwd = match_semantics(gt, pred)  # pred treated as "gt" to score precision
     scores: dict[str, float] = {}
     events = sorted(set(gt["event"].unique()) | set(pred["event"].unique()))
     f1s = []

@@ -39,6 +39,6 @@ def knowledge_to_dict(knowledge: DataFrame | pd.DataFrame) -> dict[tuple[str, st
     ``{(from, to): count}`` dict for the Complementor's MAP inference."""
     pdf = knowledge.toPandas() if isinstance(knowledge, DataFrame) else knowledge
     return {
-        (r["from_region"], r["to_region"]): float(r["cnt"])
-        for _, r in pdf.iterrows()
+        (f, t): float(c)
+        for f, t, c in zip(pdf["from_region"], pdf["to_region"], pdf["cnt"])
     }

@@ -62,7 +62,6 @@ def split_sequence(
 
     # Merge snippets shorter than min_snippet_s into their predecessor.
     ids = np.unique(snippet)
-    merged = snippet.copy()
     prev_id = None
     remap: dict[int, int] = {}
     for s in ids:

@@ -154,10 +154,18 @@ class DigitalSpaceModel:
                 unresolved[i] = False
         return result
 
+    def locate_regions(
+        self, xs: np.ndarray, ys: np.ndarray, floors: np.ndarray
+    ) -> list[str | None]:
+        """Vectorized point→region location: :meth:`locate_entities`, then
+        each entity's region; None where a point has no region."""
+        return [
+            self._entity_region.get(e) for e in self.locate_entities(xs, ys, floors)
+        ]
+
     def locate_region(self, x: float, y: float, floor: int) -> str | None:
         """Semantic region containing the point, or None."""
-        eid = self.locate_entity(x, y, floor)
-        return None if eid is None else self.entity_region(eid)
+        return self.locate_regions(np.array([x]), np.array([y]), np.array([floor]))[0]
 
     # ------------------------------------------------------------------
     # Tabular views (for Spark joins / the oracle)

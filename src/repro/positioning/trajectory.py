@@ -172,13 +172,8 @@ def ground_truth_semantics(
     of a single sample are flicker (e.g. a door grazed mid-walk) and are
     absorbed into the preceding interval.
     """
-    regions = np.array(
-        dsm.locate_entities(
-            records["x"].to_numpy(), records["y"].to_numpy(), records["floor"].to_numpy()
-        )
-    )
-    region_ids = np.array(
-        [None if e is None else dsm.entity_region(e) for e in regions], dtype=object
+    region_ids = dsm.locate_regions(
+        records["x"].to_numpy(), records["y"].to_numpy(), records["floor"].to_numpy()
     )
     ts = records["ts"].to_numpy()
     device = records["device_id"].iloc[0] if len(records) else None

@@ -8,6 +8,7 @@ from repro.core.annotation import (
     annotate_sequence,
     dominant_region,
 )
+from repro.core.baselines import stop_move_sequence
 from repro.core.events import train_event_model
 from repro.configurator.event_editor import EventEditor, designate_from_ground_truth
 from repro.dsm import IndoorGraph, build_mall
@@ -40,19 +41,84 @@ def _records(rows):
     )
 
 
+def _regions(mall, grp):
+    return mall.locate_regions(
+        grp["x"].to_numpy(), grp["y"].to_numpy(), grp["floor"].to_numpy()
+    )
+
+
+def _walk(points):
+    """Floor-1 records 5 s apart at ``points``: a walk, so one move snippet."""
+    return _records([["d", i, i * 5.0, x, y, 1] for i, (x, y) in enumerate(points)])
+
+
 class TestDominantRegion:
     def test_all_in_one_shop(self, mall):
         grp = _records([["d", i, i * 5.0, 15.0, 4.0, 1] for i in range(5)])
-        assert dominant_region(mall, grp) == "R-F1-S1"
+        assert dominant_region(_regions(mall, grp)) == "R-F1-S1"
 
     def test_majority_wins(self, mall):
         rows = [["d", i, i * 5.0, 15.0, 4.0, 1] for i in range(4)]
         rows += [["d", 9, 45.0, 15.0, 10.0, 1]]  # one hall record
-        assert dominant_region(mall, _records(rows)) == "R-F1-S1"
+        assert dominant_region(_regions(mall, _records(rows))) == "R-F1-S1"
 
     def test_all_outside_returns_none(self, mall):
         grp = _records([["d", 0, 0.0, -9.0, -9.0, 1]])
-        assert dominant_region(mall, grp) is None
+        assert dominant_region(_regions(mall, grp)) is None
+
+
+class TestVisitLabels:
+    """Visits of a move snippet: runs of the records' own regions."""
+
+    HALL = [(1.0 + 1.5 * i, 11.0) for i in range(26)]  # hall0 → hall1 → hall2
+
+    def test_mid_snippet_flicker_absorbed(self, mall, model):
+        points = list(self.HALL)
+        points[13] = (points[13][0], 4.0)  # one record in shop S2 mid-hall1
+        out = annotate_sequence(_walk(points), mall, model)
+        assert list(out["region_id"]) == ["R-F1-hall0", "R-F1-hall1", "R-F1-hall2"]
+        assert out["n_records"].sum() == len(points)
+
+    def test_first_run_of_snippet_not_absorbed(self, mall, model):
+        # A dwell in hall2, then, after more than the density window, a
+        # walk whose first record lies in shop S0.
+        dwell = [["d", i, i * 5.0, 35.0, 11.0, 1] for i in range(12)]
+        walk = _walk([(1.0, 4.0)] + self.HALL[1:])
+        walk["ts"] += 120.0
+        out = annotate_sequence(pd.concat([_records(dwell), walk]), mall, model)
+        assert list(out["region_id"][:3]) == ["R-F1-hall2", "R-F1-S0", "R-F1-hall0"]
+        assert list(out["n_records"][:2]) == [12, 1]
+
+    def test_records_without_region_form_one_visit(self, mall, model):
+        points = list(self.HALL)
+        points[12:15] = [(x, -5.0) for x, _ in points[12:15]]  # outside
+        out = annotate_sequence(_walk(points), mall, model)
+        outside = out[out["region_id"].isna()]
+        assert len(outside) == 1
+        assert outside.iloc[0]["n_records"] == 3
+
+
+class TestLocateOnce:
+    """Each kernel locates one device's records in the DSM in one call."""
+
+    @pytest.mark.parametrize("kernel", ["annotate", "stop_move"])
+    def test_one_locate_call_per_device(self, mall, model, sim, monkeypatch, kernel):
+        gt, _ = sim
+        pdf = gt[gt["device_id"] == gt["device_id"].unique()[2]]
+        calls = []
+        locate = mall.locate_entities
+
+        def counting(*args):
+            calls.append(1)
+            return locate(*args)
+
+        monkeypatch.setattr(mall, "locate_entities", counting)
+        if kernel == "annotate":
+            out = annotate_sequence(pdf, mall, model)
+        else:
+            out = stop_move_sequence(pdf, mall)
+        assert len(out) > 1
+        assert len(calls) == 1
 
 
 class TestAnnotateSequence:

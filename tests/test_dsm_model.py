@@ -128,6 +128,9 @@ class TestPointLocation:
         vec = mall.locate_entities(xs, ys, floors)
         for i in range(100):
             assert vec[i] == mall.locate_entity(xs[i], ys[i], int(floors[i]))
+        assert mall.locate_regions(xs, ys, floors) == [
+            mall.locate_region(xs[i], ys[i], int(floors[i])) for i in range(100)
+        ]
 
 
 class TestJson:
