@@ -45,6 +45,8 @@ CLEANED_SCHEMA = T.StructType(
     ]
 )
 
+CLEANED_COLUMNS = CLEANED_SCHEMA.fieldNames()
+
 VIOLATION_SCHEMA = T.StructType(
     [
         T.StructField("device_id", T.StringType(), False),
@@ -243,17 +245,21 @@ def _majority_floor(floor: np.ndarray, half_window: int = 5) -> np.ndarray:
     one sample), so it survives.
     """
     n = len(floor)
-    out = floor.copy()
-    for i in range(n):
-        lo, hi = max(0, i - half_window), min(n, i + half_window + 1)
-        window = floor[lo:hi]
-        vals, counts = np.unique(window, return_counts=True)
-        top = counts.max()
-        winners = set(vals[counts == top])
-        if floor[i] in winners:
-            continue
-        out[i] = min(winners)
-    return out
+    if n == 0:
+        return floor.copy()
+    # Window counts of every floor value at once: one-hot rows, then
+    # differences of their cumulative sums over each [lo, hi) window.
+    vals, idx = np.unique(floor, return_inverse=True)
+    onehot = np.zeros((n + 1, len(vals)), dtype=np.int64)
+    onehot[np.arange(1, n + 1), idx] = 1
+    cum = onehot.cumsum(axis=0)
+    pos = np.arange(n)
+    lo = np.maximum(pos - half_window, 0)
+    hi = np.minimum(pos + half_window + 1, n)
+    counts = cum[hi] - cum[lo]
+    winners = counts == counts.max(axis=1, keepdims=True)
+    # ``vals`` is sorted, so the first winning column is the smallest floor.
+    return np.where(winners[pos, idx], floor, vals[winners.argmax(axis=1)])
 
 
 def _floor_at(poly: np.ndarray, frac: float, total_len: float) -> int:

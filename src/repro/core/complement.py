@@ -101,13 +101,12 @@ def complement_sequence(
     """Complement one device's semantics sequence: infer the missing
     semantics inside every temporal gap and splice them in (flagged
     ``inferred=True``), re-sequencing the result."""
-    g = sem.sort_values("t_start").reset_index(drop=True)
+    records = sem.sort_values("t_start").to_dict("records")
     rows: list[dict] = []
-    for i in range(len(g)):
-        rows.append(g.iloc[i].to_dict())
-        if i + 1 >= len(g):
+    for cur, nxt in zip(records, records[1:] + [None]):
+        rows.append(cur)
+        if nxt is None:
             continue
-        cur, nxt = g.iloc[i], g.iloc[i + 1]
         gap = float(nxt["t_start"]) - float(cur["t_end"])
         if gap <= gap_threshold_s:
             continue

@@ -8,27 +8,70 @@ input, output and intermediate data involved in the translation".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
+import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
+from ..dsm.graph import IndoorGraph
 from ..dsm.model import DigitalSpaceModel
-from .annotation import annotate
-from .cleaning import DEFAULT_VMAX, clean
+from .annotation import SEMANTICS_COLUMNS, SEMANTICS_SCHEMA, annotate_sequence
+from .cleaning import CLEANED_COLUMNS, CLEANED_SCHEMA, DEFAULT_VMAX, clean_sequence
 from .complement import DEFAULT_GAP_THRESHOLD_S, complement
 from .events import EventModel
 from .knowledge import build_knowledge, knowledge_to_dict
 from .splitting import DEFAULT_EPS_M, DEFAULT_MIN_SNIPPET_S, DEFAULT_WINDOW_S
+from .stage import per_device
+
+#: The first pass's output: a device's cleaned records and its semantics
+#: rows in one frame. ``seq`` is null on the record rows.
+FIRST_PASS_SCHEMA = T.StructType(
+    [CLEANED_SCHEMA["device_id"]]
+    + [
+        T.StructField(f.name, f.dataType, True)
+        for f in CLEANED_SCHEMA.fields + SEMANTICS_SCHEMA.fields
+        if f.name != "device_id"
+    ]
+)
 
 
 @dataclass
 class TranslationResult:
-    """All data sequences involved in one translation task."""
+    """All data sequences involved in one translation task.
+
+    ``first_pass`` is the translation's one cached frame; ``cleaned`` and
+    ``semantics`` are views of it, so unpersisting them frees nothing.
+    Unpersist ``first_pass`` to free the translation.
+    """
 
     raw: DataFrame
     cleaned: DataFrame
     semantics: DataFrame  # original (pre-complement) mobility semantics
     knowledge: DataFrame  # region transition probabilities
     complemented: DataFrame  # final mobility semantics sequence
+    first_pass: DataFrame  # cleaned records and semantics rows, cached
+
+
+def clean_annotate_sequence(
+    pdf: pd.DataFrame,
+    dsm: DigitalSpaceModel,
+    graph: IndoorGraph,
+    model: EventModel,
+    *,
+    vmax: float = DEFAULT_VMAX,
+    eps_m: float = DEFAULT_EPS_M,
+    window_s: float = DEFAULT_WINDOW_S,
+    min_snippet_s: float = DEFAULT_MIN_SNIPPET_S,
+) -> pd.DataFrame:
+    """``clean_sequence`` then ``annotate_sequence`` on one device's raw
+    records: the cleaned records followed by the semantics rows."""
+    cleaned = clean_sequence(pdf, dsm, graph, vmax=vmax)[CLEANED_COLUMNS]
+    semantics = annotate_sequence(
+        cleaned, dsm, model, eps_m=eps_m, window_s=window_s, min_snippet_s=min_snippet_s
+    )
+    return pd.concat([cleaned, semantics], ignore_index=True)
 
 
 def translate(
@@ -45,26 +88,31 @@ def translate(
 ) -> TranslationResult:
     """Run the three-layer translation over all selected sequences.
 
-    Each stage's output is cached: the Annotator reads the Cleaner's
-    output, Knowledge Construction aggregates over *all* annotated
-    sequences, and the Complementor re-reads the per-device semantics
-    with that global knowledge broadcast.
+    Knowledge Construction aggregates over *all* annotated sequences, so
+    the per-device work runs in two passes, one on each side of it. The
+    first cleans and annotates each device in one task; its output is
+    cached, and ``cleaned`` and ``semantics`` are views of it. The
+    knowledge is collected once and broadcast to the second pass, the
+    Complementor, which re-reads the per-device semantics.
     """
-    cleaned = clean(raw, dsm, vmax=vmax).cache()
-    semantics = annotate(
-        cleaned,
-        dsm,
-        model,
+    kernel = partial(
+        clean_annotate_sequence,
+        vmax=vmax,
         eps_m=eps_m,
         window_s=window_s,
         min_snippet_s=min_snippet_s,
+    )
+    first_pass = per_device(
+        raw, kernel, FIRST_PASS_SCHEMA, dsm, IndoorGraph(dsm), model
     ).cache()
-    knowledge = build_knowledge(semantics).cache()
-    trans_counts = knowledge_to_dict(knowledge)
+    is_record = F.col("seq").isNull()
+    cleaned = first_pass.where(is_record).select(*CLEANED_COLUMNS)
+    semantics = first_pass.where(~is_record).select(*SEMANTICS_COLUMNS)
+    knowledge = build_knowledge(semantics)
     complemented = complement(
         semantics,
         dsm,
-        trans_counts,
+        knowledge_to_dict(knowledge),
         gap_threshold_s=gap_threshold_s,
         mode=complement_mode,
     )
@@ -74,4 +122,5 @@ def translate(
         semantics=semantics,
         knowledge=knowledge,
         complemented=complemented,
+        first_pass=first_pass,
     )

@@ -52,27 +52,18 @@ def split_sequence(
         near = (d <= eps_m) & same_floor
         dense[i] = bool(near.mean() >= dense_frac)
 
-    # Runs of equal density state → snippets.
-    snippet = np.zeros(n, dtype=np.int64)
-    sid = 0
-    for i in range(1, n):
-        if dense[i] != dense[i - 1] or fl[i] != fl[i - 1]:
-            sid += 1
-        snippet[i] = sid
+    # Runs of equal density state and floor → snippets, as [start, end).
+    change = np.flatnonzero((dense[1:] != dense[:-1]) | (fl[1:] != fl[:-1])) + 1
+    starts = np.concatenate([[0], change])
+    ends = np.concatenate([change, [n]])
 
     # Merge snippets shorter than min_snippet_s into their predecessor.
-    ids = np.unique(snippet)
-    prev_id = None
-    remap: dict[int, int] = {}
-    for s in ids:
-        mask = snippet == s
-        dur = ts[mask][-1] - ts[mask][0]
-        if prev_id is not None and dur < min_snippet_s:
-            remap[s] = remap.get(prev_id, prev_id)
-        else:
-            remap[s] = s
-            prev_id = s
-    merged = np.array([remap[s] for s in snippet])
+    durations = ts[ends - 1] - ts[starts]
+    target = np.arange(len(starts))
+    for s in range(1, len(starts)):
+        if durations[s] < min_snippet_s:
+            target[s] = target[s - 1]
+    merged = np.repeat(target, ends - starts)
     # Renumber to consecutive 0..k.
     _, merged = np.unique(merged, return_inverse=True)
 

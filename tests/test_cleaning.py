@@ -49,6 +49,36 @@ class TestMajorityFloor:
     def test_empty(self):
         assert len(_majority_floor(np.array([], dtype=int))) == 0
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_per_record_loop(self, seed):
+        """The window counts equal a per-record ``np.unique`` over each
+        window, on noisy staircases with ties and on short arrays."""
+        rng = np.random.default_rng(seed)
+        for n in (*range(1, 8), 40, 300):
+            steps = np.sort(rng.integers(0, n, size=rng.integers(0, 4)))
+            floor = np.searchsorted(steps, np.arange(n), side="right") - 1
+            flips = rng.random(n) < rng.choice([0.0, 0.1, 0.4])
+            floor[flips] = rng.integers(-1, 4, size=int(flips.sum()))
+            for half_window in (1, 2, 5):
+                got = _majority_floor(floor, half_window)
+                want = _majority_floor_loop(floor, half_window)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+
+def _majority_floor_loop(floor: np.ndarray, half_window: int) -> np.ndarray:
+    """Reference: the mode of each window by ``np.unique``; ties keep the
+    current floor, else the smallest winning floor."""
+    n = len(floor)
+    out = floor.copy()
+    for i in range(n):
+        lo, hi = max(0, i - half_window), min(n, i + half_window + 1)
+        vals, counts = np.unique(floor[lo:hi], return_counts=True)
+        winners = set(vals[counts == counts.max()])
+        if floor[i] not in winners:
+            out[i] = min(winners)
+    return out
+
 
 class TestCleanSequence:
     def test_clean_data_untouched(self, mall, graph):

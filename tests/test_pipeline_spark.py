@@ -2,6 +2,7 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark import StorageLevel
 from pyspark.sql import functions as F
 
 from repro.core import (
@@ -16,6 +17,7 @@ from repro.core import (
     stop_move_baseline,
     violation_stats,
 )
+from repro.core.cleaning import CLEANED_COLUMNS, CLEANED_SCHEMA
 from repro.core.evaluate import (
     condensation_ratio,
     error_summary,
@@ -139,6 +141,13 @@ class TestTranslationResult:
         for attr in ("raw", "cleaned", "semantics", "knowledge", "complemented"):
             assert getattr(translation, attr) is not None
 
+    def test_one_cached_frame(self, translation):
+        """Only the first pass is cached; the per-layer frames are views
+        of it or computed from it."""
+        assert translation.first_pass.storageLevel != StorageLevel.NONE
+        for attr in ("cleaned", "semantics", "knowledge", "complemented"):
+            assert getattr(translation, attr).storageLevel == StorageLevel.NONE
+
 
 def _canonical(sem: pd.DataFrame) -> pd.DataFrame:
     """Semantics sorted by ``(device_id, seq)`` with one dtype per
@@ -157,10 +166,18 @@ def _canonical(sem: pd.DataFrame) -> pd.DataFrame:
     return out.sort_values(["device_id", "seq"]).reset_index(drop=True)
 
 
-def _shuffle_exchanges(df) -> int:
-    """Shuffle exchanges in the final plan that materialised ``df``,
-    including the plans of the cached stages it reads."""
-    seen: set[int] = set()
+def _canonical_cleaned(cleaned: pd.DataFrame) -> pd.DataFrame:
+    """Cleaned records sorted by ``(device_id, record_id)`` with the
+    dtypes Spark gives ``CLEANED_SCHEMA``."""
+    out = cleaned[CLEANED_COLUMNS].astype({"record_id": "int64", "floor": "int32"})
+    return out.sort_values(["device_id", "record_id"]).reset_index(drop=True)
+
+
+def _shuffle_partitions(df) -> list[int]:
+    """Partition counts of the shuffle exchanges in the final plan that
+    materialised ``df``, including the plans of the cached stages it
+    reads."""
+    seen: dict[int, int] = {}
 
     def walk(node) -> None:
         kind = node.getClass().getSimpleName()
@@ -171,44 +188,84 @@ def _shuffle_exchanges(df) -> int:
         elif kind.endswith("QueryStageExec"):
             return walk(node.plan())
         elif kind == "ShuffleExchangeExec":
-            seen.add(node.id())
+            seen[node.id()] = node.outputPartitioning().numPartitions()
         children = node.children()
         for i in range(children.size()):
             walk(children.apply(i))
 
     walk(df._jdf.queryExecution().executedPlan())
-    return len(seen)
+    return list(seen.values())
+
+
+@pytest.fixture(scope="module")
+def serial(spark, scenario, event_model):
+    """The translation by the per-device kernels run one device at a
+    time: cleaned records, semantics, knowledge and complemented
+    semantics."""
+    dsm = scenario["dsm"]
+    graph = IndoorGraph(dsm)
+    by_device = scenario["raw_pdf"].groupby("device_id", sort=True)
+    cleaned = [clean_sequence(g, dsm, graph)[CLEANED_COLUMNS] for _, g in by_device]
+    semantics = pd.concat(
+        [annotate_sequence(c, dsm, event_model) for c in cleaned], ignore_index=True
+    )[SEMANTICS_COLUMNS]
+    trans_counts = knowledge_to_dict(
+        build_knowledge(spark.createDataFrame(semantics, SEMANTICS_SCHEMA))
+    )
+    adjacency = dsm.region_adjacency()
+    complemented = pd.concat(
+        [
+            complement_sequence(g, dsm, adjacency, trans_counts)
+            for _, g in semantics.groupby("device_id", sort=True)
+        ],
+        ignore_index=True,
+    )
+    return {
+        "cleaned": pd.concat(cleaned, ignore_index=True),
+        "semantics": semantics,
+        "knowledge": trans_counts,
+        "complemented": complemented,
+    }
 
 
 class TestSparkEqualsSerial:
-    def test_complemented_equals_serial_kernels(self, spark, scenario, event_model, translation):
-        """The distributed translation equals the per-device kernels run
-        one device at a time, row for row."""
-        dsm = scenario["dsm"]
-        graph = IndoorGraph(dsm)
-        by_device = scenario["raw_pdf"].groupby("device_id", sort=True)
-        cleaned = [clean_sequence(g, dsm, graph) for _, g in by_device]
-        semantics = pd.concat(
-            [annotate_sequence(c, dsm, event_model) for c in cleaned], ignore_index=True
-        )[SEMANTICS_COLUMNS]
-        trans_counts = knowledge_to_dict(
-            build_knowledge(spark.createDataFrame(semantics, SEMANTICS_SCHEMA))
+    """The distributed translation equals the per-device kernels run
+    one device at a time, row for row."""
+
+    def test_cleaned(self, translation, serial):
+        got = _canonical_cleaned(translation.cleaned.toPandas())
+        want = _canonical_cleaned(serial["cleaned"])
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+    def test_semantics(self, translation, serial):
+        got = _canonical(translation.semantics.toPandas())
+        pd.testing.assert_frame_equal(
+            got, _canonical(serial["semantics"]), check_exact=True
         )
-        adjacency = dsm.region_adjacency()
-        serial = pd.concat(
-            [
-                complement_sequence(g, dsm, adjacency, trans_counts)
-                for _, g in semantics.groupby("device_id", sort=True)
-            ],
-            ignore_index=True,
-        )
+
+    def test_knowledge(self, translation, serial):
+        assert knowledge_to_dict(translation.knowledge) == serial["knowledge"]
+
+    def test_complemented_equals_serial_kernels(self, translation, serial):
         got = _canonical(translation.complemented.toPandas())
-        pd.testing.assert_frame_equal(got, _canonical(serial), check_exact=True)
+        pd.testing.assert_frame_equal(
+            got, _canonical(serial["complemented"]), check_exact=True
+        )
+
+    @pytest.mark.parametrize(
+        "attr, schema", [("cleaned", CLEANED_SCHEMA), ("semantics", SEMANTICS_SCHEMA)]
+    )
+    def test_column_names_and_types(self, translation, attr, schema):
+        got = getattr(translation, attr).schema
+        assert [(f.name, f.dataType) for f in got] == [
+            (f.name, f.dataType) for f in schema
+        ]
 
 
 class TestPlan:
-    def test_one_shuffle_per_device_stage(self, translation):
-        """Clean, annotate and complement each shuffle once by device;
-        no other exchange is in the plan."""
+    def test_one_shuffle_per_device_stage(self, spark, translation):
+        """Clean+annotate and complement each shuffle once by device,
+        into one partition per core; no other exchange is in the plan."""
         translation.complemented.toPandas()
-        assert _shuffle_exchanges(translation.complemented) == 3
+        n = spark.sparkContext.defaultParallelism
+        assert _shuffle_partitions(translation.complemented) == [n, n]

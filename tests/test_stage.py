@@ -3,6 +3,7 @@ import pathlib
 import re
 
 import pandas as pd
+import pytest
 from pyspark.sql import types as T
 
 from repro.core.stage import per_device
@@ -33,6 +34,36 @@ def test_kernel_gets_side_data_and_output_is_projected(spark):
     out = per_device(df, kernel, schema, 10.0, 1.0).toPandas()
     assert list(out.columns) == ["device_id", "total"]
     assert dict(zip(out["device_id"], out["total"])) == {"a": 31.0, "b": 51.0}
+
+
+@pytest.mark.parametrize("shuffle_partitions", ["1", "200"])
+def test_one_partition_per_core_and_device(spark, shuffle_partitions):
+    """A stage's output has ``defaultParallelism`` partitions, whatever
+    the session's shuffle partitions, and each device sits in one."""
+    df = spark.createDataFrame(
+        pd.DataFrame(
+            {"device_id": [f"d{i % 12}" for i in range(96)], "v": range(96)}
+        )
+    )
+    schema = T.StructType(
+        [
+            T.StructField("device_id", T.StringType(), False),
+            T.StructField("v", T.LongType(), False),
+        ]
+    )
+    before = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", shuffle_partitions)
+    try:
+        parts = per_device(df, lambda pdf: pdf, schema).rdd.glom().collect()
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", before)
+    assert len(parts) == spark.sparkContext.defaultParallelism
+    homes: dict[str, set[int]] = {}
+    for i, rows in enumerate(parts):
+        for row in rows:
+            homes.setdefault(row["device_id"], set()).add(i)
+    assert sum(map(len, parts)) == 96
+    assert {d: len(h) for d, h in homes.items()} == {f"d{i}": 1 for i in range(12)}
 
 
 def test_only_the_stage_runner_maps_kernels_over_devices():
