@@ -43,9 +43,12 @@ def main() -> None:
     model = train_event_model(ed.training_segments(scenario["gt_pdf"]))
 
     res = translate(raw, dsm, model)
-    write_translation_result(res.complemented, out_path)
-    n = res.complemented.count()
-    print(f"translated {raw.count()} records into {n} mobility semantics -> {out_path}")
+    complemented = res.complemented.toPandas()
+    write_translation_result(complemented, out_path)
+    print(
+        f"translated {raw.count()} records into {len(complemented)} "
+        f"mobility semantics -> {out_path}"
+    )
     spark.stop()
 
 

@@ -19,15 +19,22 @@ def translation_result_payload(semantics: pd.DataFrame | DataFrame) -> dict:
     pdf = semantics.toPandas() if isinstance(semantics, DataFrame) else semantics
     out: dict = {"devices": {}}
     for dev, grp in pdf.sort_values(["device_id", "seq"]).groupby("device_id"):
+        region = grp["tag"].where(grp["tag"].notna(), grp["region_id"])
         out["devices"][dev] = [
             {
-                "event": r["event"],
-                "region": r["tag"] if pd.notna(r["tag"]) else r["region_id"],
-                "t_start": float(r["t_start"]),
-                "t_end": float(r["t_end"]),
-                "inferred": bool(r["inferred"]),
+                "event": event,
+                "region": reg,
+                "t_start": float(t0),
+                "t_end": float(t1),
+                "inferred": bool(inf),
             }
-            for _, r in grp.iterrows()
+            for event, reg, t0, t1, inf in zip(
+                grp["event"].tolist(),
+                region.tolist(),
+                grp["t_start"].tolist(),
+                grp["t_end"].tolist(),
+                grp["inferred"].tolist(),
+            )
         ]
     return out
 
@@ -48,14 +55,22 @@ def map_view_payload(entries: pd.DataFrame | DataFrame) -> dict:
         fkey = str(int(floor))
         out["floors"][fkey] = {}
         for source, sgrp in fgrp.groupby("source"):
+            sgrp = sgrp.sort_values("t_start")
+            labels = sgrp["label"].astype(object).where(sgrp["label"].notna(), None)
             out["floors"][fkey][source] = [
                 {
-                    "x": float(r["x"]),
-                    "y": float(r["y"]),
-                    "t_start": float(r["t_start"]),
-                    "t_end": float(r["t_end"]),
-                    "label": r["label"] if pd.notna(r["label"]) else None,
+                    "x": float(x),
+                    "y": float(y),
+                    "t_start": float(t0),
+                    "t_end": float(t1),
+                    "label": label,
                 }
-                for _, r in sgrp.sort_values("t_start").iterrows()
+                for x, y, t0, t1, label in zip(
+                    sgrp["x"].tolist(),
+                    sgrp["y"].tolist(),
+                    sgrp["t_start"].tolist(),
+                    sgrp["t_end"].tolist(),
+                    labels.tolist(),
+                )
             ]
     return out

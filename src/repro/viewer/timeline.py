@@ -12,7 +12,7 @@ Mobility Data Visualizer render every source generically.
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -64,32 +64,33 @@ def entries_from_semantics(
     The display point comes from the positioning records covered by the
     semantics' time range: either the temporally middle record or the
     spatially central one (closest to the covered records' centroid).
-    Inferred semantics cover no records; their display point is null and
-    the Visualizer shows them on the timeline only.
+    Semantics that cover no records (inferred ones inside a gap) get a
+    null display point; the Visualizer shows them on the timeline only.
     """
     if display_point not in (TEMPORAL_MIDDLE, SPATIAL_CENTER):
         raise ValueError(f"unknown display_point policy {display_point!r}")
-    sem = semantics
-    rec = records.select("device_id", "ts", "x", "y", "floor")
-    j = sem.join(rec, on="device_id").where(
-        (F.col("ts") >= F.col("t_start")) & (F.col("ts") <= F.col("t_end"))
+    rec = records.select(
+        F.col("device_id").alias("_rec_device"), "ts", "x", "y", "floor"
     )
+    # One left range join: every semantics row meets the records in its
+    # time range, and one that covers none keeps a row of nulls.
+    j = semantics.join(
+        rec,
+        (F.col("device_id") == F.col("_rec_device"))
+        & (F.col("ts") >= F.col("t_start"))
+        & (F.col("ts") <= F.col("t_end")),
+        how="left",
+    )
+    per_sem = Window.partitionBy("device_id", "seq")
     if display_point == TEMPORAL_MIDDLE:
         score = F.abs(F.col("ts") - (F.col("t_start") + F.col("t_end")) / 2.0)
     else:
-        w = ["device_id", "seq"]
-        cx = F.avg("x").over(_w(w))
-        cy = F.avg("y").over(_w(w))
+        cx = F.avg("x").over(per_sem)
+        cy = F.avg("y").over(per_sem)
         score = F.sqrt((F.col("x") - cx) ** 2 + (F.col("y") - cy) ** 2)
-    from pyspark.sql import Window
-
-    order = Window.partitionBy("device_id", "seq").orderBy(score.asc(), F.col("ts").asc())
-    best = (
-        j.withColumn("_rank", F.row_number().over(order))
-        .where(F.col("_rank") == 1)
-        .select("device_id", "seq", "x", "y", "floor")
-    )
-    out = sem.join(best, on=["device_id", "seq"], how="left").select(
+    order = per_sem.orderBy(score.asc(), F.col("ts").asc())
+    best = j.withColumn("_rank", F.row_number().over(order)).where(F.col("_rank") == 1)
+    return best.select(
         F.lit(source).alias("source"),
         "device_id",
         F.col("x").cast("double"),
@@ -101,13 +102,6 @@ def entries_from_semantics(
             " ", F.col("event"), F.coalesce(F.col("tag"), F.col("region_id"))
         ).alias("label"),
     )
-    return out
-
-
-def _w(cols: list[str]):
-    from pyspark.sql import Window
-
-    return Window.partitionBy(*cols)
 
 
 def combine_sources(*entry_frames: DataFrame) -> DataFrame:

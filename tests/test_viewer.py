@@ -2,9 +2,12 @@
 import json
 
 import numpy as np
+import pandas as pd
 import pytest
+from pyspark.sql import Window
 from pyspark.sql import functions as F
 
+from repro.core import SEMANTICS_SCHEMA
 from repro.oracle import assert_equivalent
 from repro.viewer import (
     SPATIAL_CENTER,
@@ -19,6 +22,8 @@ from repro.viewer import (
     translation_result_payload,
     write_translation_result,
 )
+
+from .test_pipeline_spark import _shuffle_partitions
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +161,156 @@ class TestExport:
                 assert source in ("raw", "semantics")
                 starts = [p["t_start"] for p in pts]
                 assert starts == sorted(starts)
+
+
+# ----------------------------------------------------------------------
+# Earlier formulations, kept as references for the column-wise payloads
+# and the single range join.
+# ----------------------------------------------------------------------
+def _translation_result_payload_iterrows(pdf: pd.DataFrame) -> dict:
+    out: dict = {"devices": {}}
+    for dev, grp in pdf.sort_values(["device_id", "seq"]).groupby("device_id"):
+        out["devices"][dev] = [
+            {
+                "event": r["event"],
+                "region": r["tag"] if pd.notna(r["tag"]) else r["region_id"],
+                "t_start": float(r["t_start"]),
+                "t_end": float(r["t_end"]),
+                "inferred": bool(r["inferred"]),
+            }
+            for _, r in grp.iterrows()
+        ]
+    return out
+
+
+def _map_view_payload_iterrows(pdf: pd.DataFrame) -> dict:
+    out: dict = {"floors": {}}
+    with_floor = pdf[pdf["floor"].notna()]
+    for floor, fgrp in with_floor.groupby("floor"):
+        fkey = str(int(floor))
+        out["floors"][fkey] = {}
+        for source, sgrp in fgrp.groupby("source"):
+            out["floors"][fkey][source] = [
+                {
+                    "x": float(r["x"]),
+                    "y": float(r["y"]),
+                    "t_start": float(r["t_start"]),
+                    "t_end": float(r["t_end"]),
+                    "label": r["label"] if pd.notna(r["label"]) else None,
+                }
+                for _, r in sgrp.sort_values("t_start").iterrows()
+            ]
+    return out
+
+
+def _entries_from_semantics_join_window_join(semantics, records, display_point):
+    """Inner device join -> best covered record per semantics -> left
+    join back onto the semantics."""
+    rec = records.select("device_id", "ts", "x", "y", "floor")
+    j = semantics.join(rec, on="device_id").where(
+        (F.col("ts") >= F.col("t_start")) & (F.col("ts") <= F.col("t_end"))
+    )
+    per_sem = Window.partitionBy("device_id", "seq")
+    if display_point == TEMPORAL_MIDDLE:
+        score = F.abs(F.col("ts") - (F.col("t_start") + F.col("t_end")) / 2.0)
+    else:
+        cx = F.avg("x").over(per_sem)
+        cy = F.avg("y").over(per_sem)
+        score = F.sqrt((F.col("x") - cx) ** 2 + (F.col("y") - cy) ** 2)
+    order = per_sem.orderBy(score.asc(), F.col("ts").asc())
+    best = (
+        j.withColumn("_rank", F.row_number().over(order))
+        .where(F.col("_rank") == 1)
+        .select("device_id", "seq", "x", "y", "floor")
+    )
+    return semantics.join(best, on=["device_id", "seq"], how="left").select(
+        F.lit("semantics").alias("source"),
+        "device_id",
+        F.col("x").cast("double"),
+        F.col("y").cast("double"),
+        F.col("floor").cast("int"),
+        F.col("t_start").cast("double"),
+        F.col("t_end").cast("double"),
+        F.concat_ws(
+            " ", F.col("event"), F.coalesce(F.col("tag"), F.col("region_id"))
+        ).alias("label"),
+    )
+
+
+def _sorted(pdf: pd.DataFrame) -> pd.DataFrame:
+    return pdf.sort_values(["device_id", "t_start", "t_end"]).reset_index(drop=True)
+
+
+@pytest.fixture(scope="module")
+def complemented_pdf(translation):
+    return translation.complemented.toPandas()
+
+
+class TestAgainstReferences:
+    def test_translation_result_payload(self, complemented_pdf):
+        assert json.dumps(translation_result_payload(complemented_pdf)) == json.dumps(
+            _translation_result_payload_iterrows(complemented_pdf)
+        )
+
+    def test_map_view_payload(self, translation, record_entries):
+        entries = combine_sources(
+            record_entries,
+            entries_from_records(translation.cleaned, "cleaned"),
+            entries_from_semantics(translation.complemented, translation.cleaned),
+        ).toPandas()
+        assert entries["label"].isna().any() and entries["floor"].isna().any()
+        assert json.dumps(map_view_payload(entries)) == json.dumps(
+            _map_view_payload_iterrows(entries)
+        )
+
+    def test_temporal_middle_entries(self, translation, complemented_pdf):
+        args = (translation.complemented, translation.cleaned)
+        got = _sorted(entries_from_semantics(*args).toPandas())
+        ref = _sorted(
+            _entries_from_semantics_join_window_join(*args, TEMPORAL_MIDDLE).toPandas()
+        )
+        pd.testing.assert_frame_equal(got, ref, check_exact=True)
+        # One entry per semantics; those covering no record (inferred
+        # ones inside a gap) keep theirs, with no point.
+        assert len(got) == len(complemented_pdf)
+        assert got["x"].isna().any()
+
+    def test_spatial_center_entries(self, translation):
+        args = (translation.complemented, translation.cleaned)
+        got = _sorted(
+            entries_from_semantics(*args, display_point=SPATIAL_CENTER).toPandas()
+        )
+        ref = _sorted(
+            _entries_from_semantics_join_window_join(*args, SPATIAL_CENTER).toPandas()
+        )
+        exact = ["source", "device_id", "floor", "t_start", "t_end", "label"]
+        pd.testing.assert_frame_equal(got[exact], ref[exact], check_exact=True)
+        for c in ("x", "y"):
+            assert np.isclose(got[c], ref[c], equal_nan=True).all()
+
+    def test_two_fewer_shuffles(self, spark, translation, complemented_pdf):
+        """On an opened translation result, as the Viewer reads it (the
+        live ``complemented`` plan would be run twice by the reference)."""
+        semantics = spark.createDataFrame(complemented_pdf, SEMANTICS_SCHEMA)
+        args = (semantics, translation.cleaned)
+        got = entries_from_semantics(*args)
+        ref = _entries_from_semantics_join_window_join(*args, TEMPORAL_MIDDLE)
+        got.toPandas()
+        ref.toPandas()
+        assert len(_shuffle_partitions(got)) == len(_shuffle_partitions(ref)) - 2
+
+
+@pytest.mark.parametrize("policy", [TEMPORAL_MIDDLE, SPATIAL_CENTER])
+def test_score_ties_go_to_the_earliest_record(spark, policy):
+    """Two covered records equally close to the middle (and to the
+    centroid), given latest first: the earlier one is the display point.
+    Records on the range's bounds are covered."""
+    sem = spark.createDataFrame(
+        [("d", 0, "stay", "r1", None, 10.0, 20.0, 2, False)], SEMANTICS_SCHEMA
+    )
+    rec = spark.createDataFrame(
+        [("d", 20.0, 2.0, 0.0, 1), ("d", 10.0, 0.0, 0.0, 1), ("d", 30.0, 9.0, 9.0, 1)],
+        "device_id string, ts double, x double, y double, floor int",
+    ).coalesce(1)
+    ent = entries_from_semantics(sem, rec, display_point=policy).collect()
+    assert [(e["x"], e["y"]) for e in ent] == [(0.0, 0.0)]
