@@ -8,16 +8,18 @@ persists, *location interpolation* "by deriving the possible locations
 at the time of that record based on the indoor geometrical and
 topological information captured by the DSM".
 
-Implementation: each device's time-ordered sequence is cleaned by a
-sequential anchor scan (a record is valid if it is indoor-reachable from
-the last valid record within the walking-speed budget), then invalid
-runs are re-placed along the indoor shortest path between their flanking
-valid anchors, time-proportionally. The scan runs distributed through
-the shared :func:`~.stage.per_device` runner, with the DSM and graph
-broadcast.
+Implementation: floor correction is a neighbourhood-majority pass over
+each device's time-ordered sequence. The records are then resolved to
+DSM entities once, and a sequential anchor scan marks them valid or
+invalid (a record is valid if it is indoor-reachable from the last valid
+record within the walking-speed budget). Each invalid run is re-placed
+along the indoor shortest path between its flanking valid anchors,
+time-proportionally. The scan runs distributed through the shared
+:func:`~.stage.per_device` runner, with the DSM and graph broadcast.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import partial
 
 import numpy as np
@@ -25,9 +27,10 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 
-from ..dsm.geometry import point_along_polyline, polyline_length
+from ..dsm.geometry import points_along_polyline
 from ..dsm.graph import IndoorGraph
 from ..dsm.model import DigitalSpaceModel
+from .annotation import label_runs
 from .stage import per_device
 
 #: Indoor walking-speed bound (m/s) — people cannot move faster indoors.
@@ -56,28 +59,35 @@ VIOLATION_SCHEMA = T.StructType(
 )
 
 
-def _indoor_speed_ok(
+def _speed_check(
     graph: IndoorGraph,
-    p1: tuple[float, float, int],
-    p2: tuple[float, float, int],
-    e1: str | None,
-    e2: str | None,
-    dt: float,
+    x: np.ndarray,
+    y: np.ndarray,
+    floor: np.ndarray,
+    ts: np.ndarray,
+    ent: list[str],
     vmax: float,
-) -> bool:
-    """Speed-constraint check using minimum indoor walking distance,
-    with a Euclidean lower-bound shortcut (indoor >= Euclidean, so a
-    Euclidean violation is already an indoor violation)."""
-    if dt <= 0:
-        return False
-    budget = vmax * dt
-    euclid = float(np.hypot(p2[0] - p1[0], p2[1] - p1[1]))
-    if p1[2] == p2[2]:
-        if euclid > budget:
+) -> Callable[[int, int], bool]:
+    """``ok(i, j)`` over one device's arrays and resolved entities: is
+    record j indoor-reachable from record i within the walking-speed
+    budget? Uses the minimum indoor walking distance, with a Euclidean
+    lower-bound shortcut (indoor >= Euclidean, so a Euclidean violation
+    is already an indoor violation)."""
+
+    def ok(i: int, j: int) -> bool:
+        dt = ts[j] - ts[i]
+        if dt <= 0:
             return False
-        if e1 is not None and e1 == e2:
-            return True
-    return graph.distance(p1, p2, e1=e1, e2=e2) <= budget
+        budget = vmax * dt
+        if floor[i] == floor[j]:
+            if np.hypot(x[j] - x[i], y[j] - y[i]) > budget:
+                return False
+            if ent[i] == ent[j]:
+                return True
+        p_i, p_j = (x[i], y[i], floor[i]), (x[j], y[j], floor[j])
+        return graph.distance(p_i, p_j, e1=ent[i], e2=ent[j]) <= budget
+
+    return ok
 
 
 def clean_sequence(
@@ -99,7 +109,7 @@ def clean_sequence(
     ts = g["ts"].to_numpy(dtype=float)
     repair = np.array(["none"] * n, dtype=object)
 
-    # Floor value correction, pass 1: neighborhood majority. Floor flips
+    # Floor value correction: neighborhood majority. Floor flips
     # are sporadic, so a record disagreeing with a strict majority of its
     # ±5 neighbors is wrong. (Genuine staircase transitions look like a
     # step function and survive: each boundary record still agrees with
@@ -111,30 +121,17 @@ def clean_sequence(
     floor = corrected
     repair[changed] = "floor"
 
-    ent = list(dsm.locate_entities(x, y, floor))
+    ent = graph.resolve_entities(x, y, floor)
+    ok = _speed_check(graph, x, y, floor, ts, ent, vmax)
 
     # Robust initial anchor: first record that agrees with its successor
     # (guards against an outlier in record 0 poisoning the whole scan).
-    anchor = 0
-    for i in range(n - 1):
-        if _indoor_speed_ok(
-            graph,
-            (x[i], y[i], floor[i]),
-            (x[i + 1], y[i + 1], floor[i + 1]),
-            ent[i],
-            ent[i + 1],
-            ts[i + 1] - ts[i],
-            vmax,
-        ):
-            anchor = i
-            break
+    anchor = next((i for i in range(n - 1) if ok(i, i + 1)), 0)
     invalid = np.zeros(n, dtype=bool)
     invalid[:anchor] = True
 
     for i in range(anchor + 1, n):
-        dt = ts[i] - ts[anchor]
-        p_a = (x[anchor], y[anchor], floor[anchor])
-        if _indoor_speed_ok(graph, p_a, (x[i], y[i], floor[i]), ent[anchor], ent[i], dt, vmax):
+        if ok(anchor, i):
             anchor = i
             continue
         # Violation persists after floor correction — schedule location
@@ -146,50 +143,26 @@ def clean_sequence(
         invalid[i] = True
 
     # Interpolate each maximal invalid run between its valid flanks
-    # along the indoor shortest path, time-proportionally.
-    valid_idx = np.flatnonzero(~invalid)
-    if len(valid_idx) == 0:
-        # Pathological sequence: nothing trustworthy; leave as-is.
-        out = g.copy()
-        out["repair"] = "none"
-        return out
-    i = 0
-    while i < n:
-        if not invalid[i]:
-            i += 1
+    # along the indoor shortest path, time-proportionally. The record at
+    # ``anchor`` is never invalid, so every run has at least one flank.
+    for a, b in label_runs(invalid):
+        if not invalid[a]:
             continue
-        j = i
-        while j < n and invalid[j]:
-            j += 1
-        left = i - 1 if i > 0 and not invalid[i - 1] else None
-        right = j if j < n else None
-        if left is None and right is None:
-            i = j
+        repair[a:b] = "interp"
+        if a == 0 or b == n:
+            k = b if a == 0 else a - 1
+            x[a:b], y[a:b], floor[a:b] = x[k], y[k], floor[k]
             continue
-        if left is None or right is None:
-            k = right if left is None else left
-            for m in range(i, j):
-                x[m], y[m], floor[m] = x[k], y[k], floor[k]
-                repair[m] = "interp"
-            i = j
-            continue
+        left, right = a - 1, b
         poly = graph.path(
             (x[left], y[left], floor[left]),
             (x[right], y[right], floor[right]),
             e1=ent[left],
             e2=ent[right],
         )
-        xy = poly[:, :2]
-        total_len = polyline_length(xy)
         span = ts[right] - ts[left]
-        for m in range(i, j):
-            frac = (ts[m] - ts[left]) / span if span > 0 else 0.5
-            px, py = point_along_polyline(xy, frac)
-            x[m], y[m] = px, py
-            # Floor of the nearest polyline vertex at that arc position.
-            floor[m] = _floor_at(poly, frac, total_len)
-            repair[m] = "interp"
-        i = j
+        fracs = (ts[a:b] - ts[left]) / span if span > 0 else np.full(b - a, 0.5)
+        x[a:b], y[a:b], floor[a:b] = points_along_polyline(poly, fracs)
 
     out = g.copy()
     out["x"] = x
@@ -213,19 +186,8 @@ def violation_sequence(
     y = g["y"].to_numpy(dtype=float)
     fl = g["floor"].to_numpy(dtype=int)
     ts = g["ts"].to_numpy(dtype=float)
-    ent = list(dsm.locate_entities(x, y, fl))
-    viol = 0
-    for i in range(len(g) - 1):
-        if not _indoor_speed_ok(
-            graph,
-            (x[i], y[i], fl[i]),
-            (x[i + 1], y[i + 1], fl[i + 1]),
-            ent[i],
-            ent[i + 1],
-            ts[i + 1] - ts[i],
-            vmax,
-        ):
-            viol += 1
+    ok = _speed_check(graph, x, y, fl, ts, graph.resolve_entities(x, y, fl), vmax)
+    viol = sum(not ok(i, i + 1) for i in range(len(g) - 1))
     return pd.DataFrame(
         {
             "device_id": [g["device_id"].iloc[0]],
@@ -260,22 +222,6 @@ def _majority_floor(floor: np.ndarray, half_window: int = 5) -> np.ndarray:
     winners = counts == counts.max(axis=1, keepdims=True)
     # ``vals`` is sorted, so the first winning column is the smallest floor.
     return np.where(winners[pos, idx], floor, vals[winners.argmax(axis=1)])
-
-
-def _floor_at(poly: np.ndarray, frac: float, total_len: float) -> int:
-    """Floor value at fraction ``frac`` along a (x, y, floor) polyline —
-    floor changes happen at staircase vertices (zero planar length), so
-    take the floor of the segment containing the arc position."""
-    if total_len <= 0 or len(poly) < 2:
-        return int(poly[0, 2])
-    seg = np.hypot(np.diff(poly[:, 0]), np.diff(poly[:, 1]))
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    target = frac * total_len
-    i = int(np.searchsorted(cum, target, side="right") - 1)
-    i = min(max(i, 0), len(poly) - 2)
-    # Mid-segment: floors of both ends agree except across a staircase,
-    # where planar length is 0 and searchsorted lands past it anyway.
-    return int(poly[i + 1, 2]) if target > cum[i] else int(poly[i, 2])
 
 
 def clean(

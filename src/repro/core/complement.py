@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from ..dsm.model import DigitalSpaceModel
@@ -161,8 +161,6 @@ def find_gaps(semantics: DataFrame, *, gap_threshold_s: float = DEFAULT_GAP_THRE
     """Relational view of the gaps the Complementor would fill — useful
     for tests and the T4 harness (columns: device_id, from_region,
     to_region, gap_start, gap_end)."""
-    from pyspark.sql import Window
-
     w = Window.partitionBy("device_id").orderBy("seq")
     return (
         semantics.withColumn("nxt_start", F.lead("t_start").over(w))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .features import FEATURE_NAMES, feature_matrix
+from .features import FEATURE_NAMES, feature_matrix, features_frame
 
 
 class EventModel:
@@ -85,8 +85,6 @@ class EventModel:
 def train_event_model(training_segments: pd.DataFrame, **kwargs) -> EventModel:
     """Convenience: features + fit from Event Editor ``training_segments``
     (columns ``segment_id, label, device_id, ts, x, y, floor``)."""
-    from .features import features_frame
-
     feats = features_frame(training_segments, ["segment_id"], label_col="label")
     model = EventModel(**kwargs)
     return model.fit(feats[FEATURE_NAMES], feats["label"])

@@ -14,8 +14,7 @@ __all__ = [
     "polygon_centroid",
     "point_in_polygon",
     "points_in_polygon",
-    "polyline_length",
-    "point_along_polyline",
+    "points_along_polyline",
     "bounding_box",
 ]
 
@@ -76,39 +75,38 @@ def point_in_polygon(x: float, y: float, poly: np.ndarray) -> bool:
     return bool(points_in_polygon(np.array([x]), np.array([y]), poly)[0])
 
 
-def polyline_length(pts: np.ndarray) -> float:
-    """Total Euclidean length of a polyline given as an ``(n, 2)`` array."""
-    p = np.asarray(pts, dtype=float)
-    if len(p) < 2:
-        return 0.0
-    return float(np.sum(np.hypot(np.diff(p[:, 0]), np.diff(p[:, 1]))))
+def points_along_polyline(
+    poly: np.ndarray, fracs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x, y, floor)`` arrays of the points at fractions ``fracs``
+    (clamped to 0..1) of a ``(k, 3)`` (x, y, floor) polyline's planar arc
+    length.
 
-
-def point_along_polyline(pts: np.ndarray, frac: float) -> tuple[float, float]:
-    """Point at fraction ``frac`` (0..1) of the polyline's arc length.
-
-    Used by the Cleaner's location interpolation: an invalid record is
-    re-placed along the indoor shortest path at the time-proportional
-    distance."""
-    p = np.asarray(pts, dtype=float)
-    frac = min(1.0, max(0.0, float(frac)))
+    Used by the Cleaner's location interpolation: an invalid run is
+    re-placed along the indoor shortest path at time-proportional
+    distances. Floors change at staircase vertices (zero planar length),
+    so a point takes the floor of the vertex after it only when it lies
+    strictly past the vertex before it. A zero-length polyline puts every
+    point at its first vertex."""
+    p = np.asarray(poly, dtype=float)
     if len(p) == 0:
         raise ValueError("empty polyline")
-    if len(p) == 1:
-        return float(p[0, 0]), float(p[0, 1])
+    fracs = np.clip(np.asarray(fracs, dtype=float), 0.0, 1.0)
     seg = np.hypot(np.diff(p[:, 0]), np.diff(p[:, 1]))
     total = seg.sum()
     if total <= 0:
-        return float(p[0, 0]), float(p[0, 1])
-    target = frac * total
+        n = len(fracs)
+        return np.full(n, p[0, 0]), np.full(n, p[0, 1]), np.full(n, p[0, 2])
+    target = fracs * total
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    i = int(np.searchsorted(cum, target, side="right") - 1)
-    i = min(i, len(seg) - 1)
-    r = (target - cum[i]) / seg[i] if seg[i] > 0 else 0.0
-    return (
-        float(p[i, 0] + r * (p[i + 1, 0] - p[i, 0])),
-        float(p[i, 1] + r * (p[i + 1, 1] - p[i, 1])),
+    i = np.minimum(np.searchsorted(cum, target, side="right") - 1, len(seg) - 1)
+    r = np.divide(
+        target - cum[i], seg[i], out=np.zeros_like(target), where=seg[i] > 0
     )
+    x = p[i, 0] + r * (p[i + 1, 0] - p[i, 0])
+    y = p[i, 1] + r * (p[i + 1, 1] - p[i, 1])
+    floor = np.where(target > cum[i], p[i + 1, 2], p[i, 2])
+    return x, y, floor
 
 
 def bounding_box(poly: np.ndarray) -> tuple[float, float, float, float]:

@@ -10,7 +10,12 @@ repaired locations along a legal indoor path.
 The graph is small (one node per door plus two per staircase), so we
 precompute all-pairs shortest paths once (vectorized Floyd–Warshall) and
 answer point-to-point queries by combining the final walking legs with
-the precomputed node-to-node distances.
+the precomputed node-to-node distances: one matrix of leg + node-to-node
++ leg lengths over the two entities' nodes, whose first minimum is the
+route. A query needs each point's containing entity;
+:meth:`IndoorGraph.resolve_entities` resolves a whole device's records
+in one DSM location call, snapping points inside walls to the entity
+with the nearest node, and the Cleaner passes the result in as hints.
 """
 from __future__ import annotations
 
@@ -85,24 +90,64 @@ class IndoorGraph:
             return [i, j]
         return self._node_path(i, k)[:-1] + self._node_path(k, j)
 
-    def _resolve_entity(self, x: float, y: float, floor: int) -> str:
-        """Containing entity; points inside walls (e.g. raw noise pushed a
-        record out of any polygon) snap to the entity with the nearest
-        graph node on the same floor."""
-        eid = self.dsm.locate_entity(x, y, floor)
-        if eid is not None:
-            return eid
-        best, best_d = None, _INF
-        for cand_eid, nodes in self._entity_nodes.items():
-            if self.dsm.entities[cand_eid].floor != floor:
+    def resolve_entities(
+        self, xs: np.ndarray, ys: np.ndarray, floors: np.ndarray
+    ) -> list[str]:
+        """Containing entity of each point, from one
+        :meth:`~.model.DigitalSpaceModel.locate_entities` call. Points
+        inside walls (e.g. raw noise pushed a record out of any polygon)
+        snap to the entity with the nearest graph node on the same floor;
+        ties go to the first entity, then the first node, in graph order.
+
+        Raises ValueError for a point with no such node: its floor has no
+        entity, or a coordinate is not finite."""
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        floors = np.asarray(floors)
+        ents = self.dsm.locate_entities(xs, ys, floors)
+        miss = np.array([e is None for e in ents], dtype=bool)
+        if not miss.any():
+            return ents
+        # One candidate per (entity, node) pair in graph order, so the
+        # first argmin follows the tie rule above.
+        cand_eid = [eid for eid, nodes in self._entity_nodes.items() for _ in nodes]
+        cand_pos = self.pos[[i for nodes in self._entity_nodes.values() for i in nodes]]
+        cand_floor = np.array([self.dsm.entities[eid].floor for eid in cand_eid])
+        for f in np.unique(cand_floor):
+            rows = np.flatnonzero(miss & (floors == f))
+            if not len(rows):
                 continue
-            for i in nodes:
-                d = float(np.hypot(self.pos[i, 0] - x, self.pos[i, 1] - y))
-                if d < best_d:
-                    best, best_d = cand_eid, d
-        if best is None:
-            raise ValueError(f"no entity on floor {floor}")
-        return best
+            cols = np.flatnonzero(cand_floor == f)
+            d = np.hypot(
+                cand_pos[cols, 0] - xs[rows, None], cand_pos[cols, 1] - ys[rows, None]
+            )
+            k = d.argmin(axis=1)
+            # A row of NaN or inf distances (non-finite point) has no
+            # nearest node; it stays unresolved and raises below.
+            found = d[np.arange(len(rows)), k] < _INF
+            for r, c in zip(rows[found], cols[k[found]]):
+                ents[r] = cand_eid[c]
+        for i, e in enumerate(ents):
+            if e is None:
+                raise ValueError(
+                    f"no entity on floor {floors[i]} near ({xs[i]}, {ys[i]})"
+                )
+        return ents
+
+    def _best_pair(
+        self, p1: tuple, p2: tuple, e1: str, e2: str
+    ) -> tuple[float, tuple[int, int] | None]:
+        """Shortest route from p1 in entity e1 to p2 in entity e2 through
+        the graph: its length (inf if none) and its first and last node.
+        Ties go to the first node pair in row-major order."""
+        a, b = self._entity_nodes[e1], self._entity_nodes[e2]
+        la = np.hypot(self.pos[a, 0] - p1[0], self.pos[a, 1] - p1[1])
+        lb = np.hypot(self.pos[b, 0] - p2[0], self.pos[b, 1] - p2[1])
+        tot = la[:, None] + self.dist[a][:, b] + lb
+        if not (tot < _INF).any():
+            return _INF, None
+        k = int(tot.argmin())
+        return float(tot.flat[k]), (a[k // len(b)], b[k % len(b)])
 
     # ------------------------------------------------------------------
     def distance(
@@ -117,25 +162,17 @@ class IndoorGraph:
 
         Same-entity pairs walk straight; cross-entity pairs take the best
         door-to-door route. Always >= the Euclidean distance. ``e1``/``e2``
-        are optional containing-entity hints (the Cleaner locates whole
-        batches of records up front and passes them in).
+        are optional containing-entity hints (the Cleaner resolves whole
+        batches of records up front with :meth:`resolve_entities` and
+        passes them in).
         """
         x1, y1, f1 = p1
         x2, y2, f2 = p2
-        e1 = e1 or self._resolve_entity(x1, y1, int(f1))
-        e2 = e2 or self._resolve_entity(x2, y2, int(f2))
-        direct = float(np.hypot(x2 - x1, y2 - y1)) if f1 == f2 else _INF
+        e1 = e1 or self.resolve_entities([x1], [y1], [f1])[0]
+        e2 = e2 or self.resolve_entities([x2], [y2], [f2])[0]
         if e1 == e2:
-            return direct
-        best = _INF
-        for a in self._entity_nodes[e1]:
-            la = float(np.hypot(self.pos[a, 0] - x1, self.pos[a, 1] - y1))
-            for b in self._entity_nodes[e2]:
-                if not np.isfinite(self.dist[a, b]):
-                    continue
-                lb = float(np.hypot(self.pos[b, 0] - x2, self.pos[b, 1] - y2))
-                best = min(best, la + self.dist[a, b] + lb)
-        return best
+            return float(np.hypot(x2 - x1, y2 - y1)) if f1 == f2 else _INF
+        return self._best_pair(p1, p2, e1, e2)[0]
 
     def path(
         self,
@@ -150,23 +187,14 @@ class IndoorGraph:
         repaired locations along this polyline."""
         x1, y1, f1 = p1
         x2, y2, f2 = p2
-        e1 = e1 or self._resolve_entity(x1, y1, int(f1))
-        e2 = e2 or self._resolve_entity(x2, y2, int(f2))
+        e1 = e1 or self.resolve_entities([x1], [y1], [f1])[0]
+        e2 = e2 or self.resolve_entities([x2], [y2], [f2])[0]
         if e1 == e2:
             return np.array([[x1, y1, f1], [x2, y2, f2]], dtype=float)
-        best, best_pair = _INF, None
-        for a in self._entity_nodes[e1]:
-            la = float(np.hypot(self.pos[a, 0] - x1, self.pos[a, 1] - y1))
-            for b in self._entity_nodes[e2]:
-                if not np.isfinite(self.dist[a, b]):
-                    continue
-                lb = float(np.hypot(self.pos[b, 0] - x2, self.pos[b, 1] - y2))
-                tot = la + self.dist[a, b] + lb
-                if tot < best:
-                    best, best_pair = tot, (a, b)
-        if best_pair is None:
+        _, pair = self._best_pair(p1, p2, e1, e2)
+        if pair is None:
             raise ValueError("points are disconnected in the indoor graph")
-        nodes = self._node_path(*best_pair)
+        nodes = self._node_path(*pair)
         mid = [
             [self.pos[i, 0], self.pos[i, 1], float(self._node_floor[i])] for i in nodes
         ]

@@ -16,6 +16,7 @@ from pyspark.sql import functions as F
 
 from .configurator import EventEditor, designate_from_ground_truth
 from .core import (
+    clean,
     train_event_model,
     translate,
     stop_move_baseline,
@@ -32,6 +33,7 @@ from .core.evaluate import (
 from .core.knowledge import knowledge_to_dict
 from .dsm import IndoorGraph, build_mall
 from .positioning import CorruptionConfig, corrupt, from_pandas
+from .positioning.trajectory import _sample, ground_truth_semantics
 from .synth_data import mall_scenario
 
 
@@ -83,8 +85,6 @@ def table1(spark: SparkSession) -> dict:
                 t += seg / 1.3
                 waypoints.append((t, *path[i]))
             pos = target
-    from .positioning.trajectory import _sample, ground_truth_semantics
-
     gt = _sample(dsm, waypoints, "3a.7f.0014", t, 5.0, rng)
     raw = corrupt(
         gt,
@@ -113,8 +113,6 @@ def table2(
         cfg = CorruptionConfig(sigma_xy=sigma, seed=seed + 7)
         raw_pdf = corrupt(base["gt_pdf"], cfg, n_floors=3)
         raw = from_pandas(spark, raw_pdf)
-        from .core.cleaning import clean
-
         cleaned = clean(raw, dsm).cache()
         before = error_summary(positioning_error(raw, base["gt"]))
         after = error_summary(positioning_error(cleaned, base["gt"]))

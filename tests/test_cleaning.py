@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.cleaning import _majority_floor, clean_sequence
+from repro.core.cleaning import _majority_floor, clean_sequence, violation_sequence
 from repro.dsm import IndoorGraph, build_mall
 from repro.positioning import CorruptionConfig, corrupt, simulate_population
 
@@ -153,6 +153,30 @@ class TestCleanSequence:
         rows = [["d", i, (7 - i) * 5.0, 15.0, 4.0, 1] for i in range(8)]
         out = clean_sequence(_mk(rows), mall, graph)
         assert (np.diff(out["ts"]) > 0).all()
+
+
+class TestLocateOnce:
+    """Each kernel resolves one device's records in the DSM in one call,
+    in-wall records included."""
+
+    @pytest.mark.parametrize("kernel", [clean_sequence, violation_sequence])
+    def test_one_locate_call_per_device(self, mall, graph, monkeypatch, kernel):
+        gt, _ = simulate_population(mall, n_devices=1, duration_s=1800, period_s=5.0, seed=3)
+        cfg = CorruptionConfig(sigma_xy=3.0, p_outlier=0.05, seed=4)
+        pdf = corrupt(gt, cfg, n_floors=3)
+        in_wall = mall.locate_entities(pdf["x"], pdf["y"], pdf["floor"]).count(None)
+        assert in_wall > 10
+        calls = []
+        locate = mall.locate_entities
+
+        def counting(*args):
+            calls.append(1)
+            return locate(*args)
+
+        monkeypatch.setattr(mall, "locate_entities", counting)
+        out = kernel(pdf, mall, graph)
+        assert len(out) > 0
+        assert len(calls) == 1
 
 
 class TestCleaningQuality:

@@ -68,9 +68,13 @@ class TestDistance:
         d = graph.distance((-1.0, -1.0, 1), (5.0, 10.0, 1))
         assert np.isfinite(d)
 
-    def test_unknown_floor_raises(self, graph):
+    @pytest.mark.parametrize(
+        "p1", [(5.0, 4.0, 99), (np.nan, 4.0, 1)], ids=["unknown_floor", "nan_coordinate"]
+    )
+    def test_unknown_floor_raises(self, graph, p1):
+        # A snap must not pick a nearest node for a NaN point.
         with pytest.raises(ValueError, match="no entity"):
-            graph.distance((5.0, 4.0, 99), (5.0, 4.0, 1))
+            graph.distance(p1, (5.0, 4.0, 1))
 
 
 class TestPath:
@@ -122,3 +126,80 @@ class TestGraphStructure:
         for _ in range(200):
             i, j, k = rng.integers(0, n, 3)
             assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+
+
+class TestAgainstReferences:
+    """``resolve_entities``, ``distance`` and ``path`` equal the scalar
+    snap and the door-pair double loop they replaced, on random points on
+    every floor, in-wall points and cross-floor pairs included."""
+
+    @pytest.fixture(scope="class")
+    def points(self, mall):
+        rng = np.random.default_rng(11)
+        n = 400
+        xs = rng.uniform(-3.0, 43.0, n)
+        ys = rng.uniform(-3.0, 25.0, n)
+        floors = rng.integers(1, 4, n)
+        in_wall = [e is None for e in mall.locate_entities(xs, ys, floors)]
+        assert sum(in_wall) > 50
+        return xs, ys, floors
+
+    def test_resolve_entities_equals_scalar_snap(self, graph, points):
+        xs, ys, floors = points
+        want = [_resolve_entity(graph, *p) for p in zip(xs, ys, floors)]
+        assert graph.resolve_entities(xs, ys, floors) == want
+
+    def test_distance_and_path_equal_double_loop(self, graph, points):
+        xs, ys, floors = points
+        ents = graph.resolve_entities(xs, ys, floors)
+        n_cross_floor = 0
+        for i in range(len(xs) - 1):
+            p1 = (xs[i], ys[i], floors[i])
+            p2 = (xs[i + 1], ys[i + 1], floors[i + 1])
+            e1, e2 = ents[i], ents[i + 1]
+            n_cross_floor += p1[2] != p2[2]
+            if e1 == e2:
+                assert graph.distance(p1, p2) == np.hypot(p2[0] - p1[0], p2[1] - p1[1])
+                continue
+            best, pair = _door_pair(graph, p1, p2, e1, e2)
+            assert graph.distance(p1, p2) == best
+            assert graph.distance(p1, p2, e1=e1, e2=e2) == best
+            mid = [
+                [*graph.pos[k], graph._node_floor[k]] for k in graph._node_path(*pair)
+            ]
+            np.testing.assert_array_equal(graph.path(p1, p2)[1:-1], mid)
+        assert n_cross_floor > 100
+
+
+def _resolve_entity(graph, x, y, floor):
+    """Reference: the scalar snap of one point."""
+    eid = graph.dsm.locate_entity(x, y, floor)
+    if eid is not None:
+        return eid
+    best, best_d = None, np.inf
+    for cand_eid, nodes in graph._entity_nodes.items():
+        if graph.dsm.entities[cand_eid].floor != floor:
+            continue
+        for i in nodes:
+            d = float(np.hypot(graph.pos[i, 0] - x, graph.pos[i, 1] - y))
+            if d < best_d:
+                best, best_d = cand_eid, d
+    if best is None:
+        raise ValueError(f"no entity on floor {floor}")
+    return best
+
+
+def _door_pair(graph, p1, p2, e1, e2):
+    """Reference: the door-to-door double loop; the shortest route's
+    length and its first strictly best node pair."""
+    best, best_pair = np.inf, None
+    for a in graph._entity_nodes[e1]:
+        la = float(np.hypot(graph.pos[a, 0] - p1[0], graph.pos[a, 1] - p1[1]))
+        for b in graph._entity_nodes[e2]:
+            if not np.isfinite(graph.dist[a, b]):
+                continue
+            lb = float(np.hypot(graph.pos[b, 0] - p2[0], graph.pos[b, 1] - p2[1]))
+            tot = la + graph.dist[a, b] + lb
+            if tot < best:
+                best, best_pair = tot, (a, b)
+    return best, best_pair
