@@ -9,9 +9,10 @@ snippets; *semantic matching* then annotates each snippet with
   snippet's time coverage),
 - a **temporal annotation** (the snippet's time range),
 
-yielding the paper's mobility-semantics triplets. Runs distributed through
-the shared :func:`~.stage.per_device` runner, with the DSM and model
-broadcast.
+yielding the paper's mobility-semantics triplets. A visit is a
+``(start, end)`` run bound: its features come from array slices, and the
+rows are built column-wise. Runs distributed through the shared
+:func:`~.stage.per_device` runner, with the DSM and model broadcast.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from pyspark.sql import types as T
 
 from ..dsm.model import DigitalSpaceModel
 from .events import EventModel
-from .features import FEATURE_NAMES, segment_features
+from .features import label_runs, runs_features
 from .splitting import (
     DEFAULT_EPS_M,
     DEFAULT_MIN_SNIPPET_S,
@@ -50,16 +51,6 @@ SEMANTICS_SCHEMA = T.StructType(
 )
 
 SEMANTICS_COLUMNS = [f.name for f in SEMANTICS_SCHEMA.fields]
-
-
-def label_runs(labels: Sequence) -> list[tuple[int, int]]:
-    """Half-open ``(start, end)`` bounds of the maximal runs of equal
-    labels, in order. Two ``None`` labels are equal."""
-    if len(labels) == 0:
-        return []
-    v = np.asarray(labels, dtype=object)
-    bounds = [0, *(np.flatnonzero(v[1:] != v[:-1]) + 1).tolist(), len(v)]
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def dominant_region(regions: Sequence[str | None]) -> str | None:
@@ -88,7 +79,6 @@ def annotate_sequence(
     )
     if g.empty:
         return pd.DataFrame(columns=SEMANTICS_COLUMNS)
-    device = g["device_id"].iloc[0]
     regions = dsm.locate_regions(
         g["x"].to_numpy(), g["y"].to_numpy(), g["floor"].to_numpy()
     )
@@ -111,27 +101,24 @@ def annotate_sequence(
         for c, d in label_runs(regions[a:b])[1:]:
             if d - c == 1:
                 labels[a + c] = labels[a + c - 1]
-    visits = [(g.iloc[a:b], labels[a]) for a, b in label_runs(labels)]
-    feats = pd.DataFrame(
-        [segment_features(v) for v, _ in visits], columns=FEATURE_NAMES
+    runs = label_runs(labels)
+    starts, ends = np.array(runs).T
+    ts = g["ts"].to_numpy(dtype=float)
+    region = [labels[a] for a in starts]
+    return pd.DataFrame(
+        {
+            "device_id": g["device_id"].iloc[0],
+            "seq": np.arange(len(runs)),
+            "event": model.predict(runs_features(g, runs)),
+            "region_id": region,
+            "tag": [dsm.regions[r].tag if r else None for r in region],
+            "t_start": ts[starts],
+            "t_end": ts[ends - 1],
+            "n_records": ends - starts,
+            "inferred": False,
+        },
+        columns=SEMANTICS_COLUMNS,
     )
-    events = model.predict(feats)
-    rows = []
-    for seq, ((grp, region), event) in enumerate(zip(visits, events)):
-        rows.append(
-            {
-                "device_id": device,
-                "seq": seq,
-                "event": str(event),
-                "region_id": region,
-                "tag": dsm.regions[region].tag if region else None,
-                "t_start": float(grp["ts"].min()),
-                "t_end": float(grp["ts"].max()),
-                "n_records": int(len(grp)),
-                "inferred": False,
-            }
-        )
-    return pd.DataFrame(rows, columns=SEMANTICS_COLUMNS)
 
 
 def annotate(

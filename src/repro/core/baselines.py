@@ -20,12 +20,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from ..dsm.model import DigitalSpaceModel
-from .annotation import (
-    SEMANTICS_COLUMNS,
-    SEMANTICS_SCHEMA,
-    dominant_region,
-    label_runs,
-)
+from .annotation import SEMANTICS_COLUMNS, SEMANTICS_SCHEMA, dominant_region
+from .features import label_runs
 from .stage import per_device
 
 #: Below this average speed (m/s) a run counts as a stop, per [12]-style

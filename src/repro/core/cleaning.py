@@ -30,7 +30,7 @@ from pyspark.sql import types as T
 from ..dsm.geometry import points_along_polyline
 from ..dsm.graph import IndoorGraph
 from ..dsm.model import DigitalSpaceModel
-from .annotation import label_runs
+from .features import label_runs
 from .stage import per_device
 
 #: Indoor walking-speed bound (m/s) — people cannot move faster indoors.

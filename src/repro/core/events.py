@@ -85,6 +85,6 @@ class EventModel:
 def train_event_model(training_segments: pd.DataFrame, **kwargs) -> EventModel:
     """Convenience: features + fit from Event Editor ``training_segments``
     (columns ``segment_id, label, device_id, ts, x, y, floor``)."""
-    feats = features_frame(training_segments, ["segment_id"], label_col="label")
+    feats = features_frame(training_segments)
     model = EventModel(**kwargs)
     return model.fit(feats[FEATURE_NAMES], feats["label"])

@@ -3,9 +3,13 @@
 The paper (§3): "The feature extraction considers the information of
 positioning location variance, traveling distance and speed, covering
 range, number of turns, etc." — those are exactly the features below,
-computed on a time-ordered block of positioning records.
+computed on time-ordered array slices of positioning records, bounded by
+``(start, end)`` runs: per visit for the Annotator, per ``segment_id``
+for training.
 """
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 import pandas as pd
@@ -28,15 +32,22 @@ _TURN_ANGLE_RAD = np.deg2rad(45.0)
 _MIN_STEP_M = 0.5  # steps shorter than this are jitter, not headings
 
 
-def segment_features(seg: pd.DataFrame) -> dict[str, float]:
-    """Feature dict for one time-ordered segment of positioning records
-    (columns ``ts, x, y, floor`` required)."""
-    seg = seg.sort_values("ts")
-    x = seg["x"].to_numpy(dtype=float)
-    y = seg["y"].to_numpy(dtype=float)
-    ts = seg["ts"].to_numpy(dtype=float)
-    floor = seg["floor"].to_numpy()
-    n = len(seg)
+def label_runs(labels: Sequence) -> list[tuple[int, int]]:
+    """Half-open ``(start, end)`` bounds of the maximal runs of equal
+    labels, in order. Two ``None`` labels are equal."""
+    if len(labels) == 0:
+        return []
+    v = np.asarray(labels, dtype=object)
+    bounds = [0, *(np.flatnonzero(v[1:] != v[:-1]) + 1).tolist(), len(v)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def segment_features(
+    ts: np.ndarray, x: np.ndarray, y: np.ndarray, floor: np.ndarray
+) -> dict[str, float]:
+    """Feature dict for one time-ordered segment of positioning records,
+    given as float ``ts, x, y`` and integer ``floor`` arrays."""
+    n = len(ts)
     duration = float(ts[-1] - ts[0]) if n > 1 else 0.0
 
     if n > 1:
@@ -82,24 +93,31 @@ def segment_features(seg: pd.DataFrame) -> dict[str, float]:
     }
 
 
-def features_frame(
-    segments: pd.DataFrame, group_cols: list[str], label_col: str | None = None
-) -> pd.DataFrame:
-    """Feature table: one row per group of ``segments`` (e.g. per
-    ``segment_id`` for training data, per ``(device_id, snippet_id)`` for
-    snippets), with ``FEATURE_NAMES`` columns plus the group keys and the
-    optional label."""
-    rows = []
-    for keys, grp in segments.groupby(group_cols, sort=True):
-        if not isinstance(keys, tuple):
-            keys = (keys,)
-        row = dict(zip(group_cols, keys))
-        row.update(segment_features(grp))
-        if label_col is not None:
-            row[label_col] = grp[label_col].iloc[0]
-        rows.append(row)
-    cols = group_cols + FEATURE_NAMES + ([label_col] if label_col else [])
-    return pd.DataFrame(rows, columns=cols)
+def runs_features(records: pd.DataFrame, runs: list[tuple[int, int]]) -> pd.DataFrame:
+    """``FEATURE_NAMES`` frame, one row per ``(start, end)`` run bound into
+    time-ordered ``records`` (columns ``ts, x, y, floor``)."""
+    ts = records["ts"].to_numpy(dtype=float)
+    x = records["x"].to_numpy(dtype=float)
+    y = records["y"].to_numpy(dtype=float)
+    floor = records["floor"].to_numpy()
+    return pd.DataFrame(
+        [segment_features(ts[a:b], x[a:b], y[a:b], floor[a:b]) for a, b in runs],
+        columns=FEATURE_NAMES,
+    )
+
+
+def features_frame(segments: pd.DataFrame) -> pd.DataFrame:
+    """Training feature table: one row per ``segment_id`` of Event Editor
+    ``segments`` (columns ``segment_id, label, ts, x, y, floor``), in
+    ``segment_id`` order, with ``FEATURE_NAMES`` columns and the
+    segment's label."""
+    seg = segments.sort_values(["segment_id", "ts"], kind="stable")
+    runs = label_runs(seg["segment_id"].to_numpy())
+    first = seg.iloc[[a for a, _ in runs]]
+    feats = runs_features(seg, runs)
+    feats.insert(0, "segment_id", first["segment_id"].to_numpy())
+    feats["label"] = first["label"].to_numpy()
+    return feats
 
 
 def feature_matrix(features: pd.DataFrame) -> np.ndarray:

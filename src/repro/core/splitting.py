@@ -42,15 +42,16 @@ def split_sequence(
     ts = g["ts"].to_numpy(dtype=float)
     fl = g["floor"].to_numpy(dtype=int)
 
-    dense = np.zeros(n, dtype=bool)
+    # Row i of idx is record i's time window g[lo[i]:hi[i]], padded to the
+    # widest window; the padding is masked out of near.
     lo = np.searchsorted(ts, ts - window_s, side="left")
     hi = np.searchsorted(ts, ts + window_s, side="right")
-    for i in range(n):
-        sl = slice(lo[i], hi[i])
-        same_floor = fl[sl] == fl[i]
-        d = np.hypot(x[sl] - x[i], y[sl] - y[i])
-        near = (d <= eps_m) & same_floor
-        dense[i] = bool(near.mean() >= dense_frac)
+    idx = lo[:, None] + np.arange((hi - lo).max())
+    inside = idx < hi[:, None]
+    idx = np.minimum(idx, n - 1)
+    d = np.hypot(x[idx] - x[:, None], y[idx] - y[:, None])
+    near = (d <= eps_m) & (fl[idx] == fl[:, None]) & inside
+    dense = near.sum(axis=1) / (hi - lo) >= dense_frac
 
     # Runs of equal density state and floor → snippets, as [start, end).
     change = np.flatnonzero((dense[1:] != dense[:-1]) | (fl[1:] != fl[:-1])) + 1
@@ -71,8 +72,6 @@ def split_sequence(
     out["snippet_id"] = merged.astype("int64")
     # A snippet is a stay-candidate iff the majority of its records are
     # dense (merging may fold a few sparse records into a dense run).
-    snippet_dense = (
-        pd.Series(dense).groupby(merged).transform("mean") >= 0.5
-    ).to_numpy()
-    out["dense"] = snippet_dense
+    snippet_dense = np.bincount(merged, weights=dense) / np.bincount(merged) >= 0.5
+    out["dense"] = snippet_dense[merged]
     return out

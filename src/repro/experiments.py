@@ -33,7 +33,7 @@ from .core.evaluate import (
 from .core.knowledge import knowledge_to_dict
 from .dsm import IndoorGraph, build_mall
 from .positioning import CorruptionConfig, corrupt, from_pandas
-from .positioning.trajectory import _sample, ground_truth_semantics
+from .positioning.trajectory import _sample, _walk_waypoints, ground_truth_semantics
 from .synth_data import mall_scenario
 
 
@@ -79,11 +79,8 @@ def table1(spark: SparkSession) -> dict:
             t += dur
             waypoints.append((t, *pos))
         else:
-            path = graph.path(pos, target)
-            for i in range(1, len(path)):
-                seg = float(np.hypot(*(path[i][:2] - path[i - 1][:2])))
-                t += seg / 1.3
-                waypoints.append((t, *path[i]))
+            wps, t = _walk_waypoints(graph, t, pos, target, 1.3)
+            waypoints.extend(wps[1:])
             pos = target
     gt = _sample(dsm, waypoints, "3a.7f.0014", t, 5.0, rng)
     raw = corrupt(

@@ -1,4 +1,6 @@
 """Unit tests for the Mobility Semantics Annotator (driver-side logic)."""
+import sys
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -119,6 +121,23 @@ class TestLocateOnce:
             out = stop_move_sequence(pdf, mall)
         assert len(out) > 1
         assert len(calls) == 1
+
+    def test_one_sort_per_device(self, mall, model, sim, monkeypatch):
+        """Visits are bounds into the split's time-ordered records, so
+        nothing after ``split_sequence`` sorts again."""
+        gt, _ = sim
+        pdf = gt[gt["device_id"] == gt["device_id"].unique()[2]]
+        callers = []
+        sort_values = pd.DataFrame.sort_values
+
+        def counting(self, *args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return sort_values(self, *args, **kwargs)
+
+        monkeypatch.setattr(pd.DataFrame, "sort_values", counting)
+        out = annotate_sequence(pdf, mall, model)
+        assert len(out) > 1
+        assert callers == ["split_sequence"]
 
 
 class TestAnnotateSequence:
