@@ -4,20 +4,11 @@ import pytest
 from repro.experiments import table1
 
 
-def _save(df, name):
-    """Persist the table rows next to the timing output (results/)."""
-    import pathlib
-
-    out = pathlib.Path(__file__).resolve().parent.parent / "results"
-    out.mkdir(exist_ok=True)
-    df.to_csv(out / name, index=False)
-
-
 @pytest.mark.benchmark(group="t1-walkthrough")
-def test_table1_walkthrough(benchmark, spark):
+def test_table1_walkthrough(benchmark, spark, save_table):
     out = benchmark.pedantic(lambda: table1(spark), rounds=1, iterations=1)
     sem = out["semantics"]
-    _save(sem, "table1.csv")
+    save_table(sem, "table1.csv")
     events = list(zip(sem["event"], sem["tag"]))
     # The paper's Table-1 trace shape must hold.
     assert ("stay", "Adidas F1") == events[0]

@@ -4,21 +4,12 @@ import pytest
 from repro.experiments import table2
 
 
-def _save(df, name):
-    """Persist the table rows next to the timing output (results/)."""
-    import pathlib
-
-    out = pathlib.Path(__file__).resolve().parent.parent / "results"
-    out.mkdir(exist_ok=True)
-    df.to_csv(out / name, index=False)
-
-
 @pytest.mark.benchmark(group="t2-cleaning")
-def test_table2_cleaning(benchmark, spark):
+def test_table2_cleaning(benchmark, spark, save_table):
     out = benchmark.pedantic(
         lambda: table2(spark, sf=0.1), rounds=1, iterations=1
     )
-    _save(out, "table2.csv")
+    save_table(out, "table2.csv")
     print("\n=== T2: Cleaning quality vs noise (SF=0.1) ===")
     print(out.to_string(index=False, float_format=lambda v: f"{v:.3f}"))
     # The cleaner must reduce planar error, floor errors and violations

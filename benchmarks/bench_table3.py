@@ -4,21 +4,12 @@ import pytest
 from repro.experiments import table3
 
 
-def _save(df, name):
-    """Persist the table rows next to the timing output (results/)."""
-    import pathlib
-
-    out = pathlib.Path(__file__).resolve().parent.parent / "results"
-    out.mkdir(exist_ok=True)
-    df.to_csv(out / name, index=False)
-
-
 @pytest.mark.benchmark(group="t3-annotation")
-def test_table3_annotation(benchmark, spark):
+def test_table3_annotation(benchmark, spark, save_table):
     out = benchmark.pedantic(
         lambda: table3(spark, sf=0.1), rounds=1, iterations=1
     )
-    _save(out, "table3.csv")
+    save_table(out, "table3.csv")
     print("\n=== T3: Annotation quality on held-out devices (SF=0.1) ===")
     print(out.to_string(index=False, float_format=lambda v: f"{v:.3f}"))
     for _sigma, grp in out.groupby("sigma_m"):

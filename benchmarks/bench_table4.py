@@ -4,21 +4,12 @@ import pytest
 from repro.experiments import table4
 
 
-def _save(df, name):
-    """Persist the table rows next to the timing output (results/)."""
-    import pathlib
-
-    out = pathlib.Path(__file__).resolve().parent.parent / "results"
-    out.mkdir(exist_ok=True)
-    df.to_csv(out / name, index=False)
-
-
 @pytest.mark.benchmark(group="t4-complement")
-def test_table4_complement(benchmark, spark):
+def test_table4_complement(benchmark, spark, save_table):
     out = benchmark.pedantic(
         lambda: table4(spark, sf=0.1), rounds=1, iterations=1
     )
-    _save(out, "table4.csv")
+    save_table(out, "table4.csv")
     print("\n=== T4: Gap inference on masked transits (SF=0.1) ===")
     print(out.to_string(index=False, float_format=lambda v: f"{v:.3f}"))
     by = out.set_index("system")

@@ -4,21 +4,12 @@ import pytest
 from repro.experiments import table5
 
 
-def _save(df, name):
-    """Persist the table rows next to the timing output (results/)."""
-    import pathlib
-
-    out = pathlib.Path(__file__).resolve().parent.parent / "results"
-    out.mkdir(exist_ok=True)
-    df.to_csv(out / name, index=False)
-
-
 @pytest.mark.benchmark(group="t5-scalability")
-def test_table5_scalability(benchmark, spark):
+def test_table5_scalability(benchmark, spark, save_table):
     out = benchmark.pedantic(
         lambda: table5(spark, sfs=(0.01, 0.05, 0.1)), rounds=1, iterations=1
     )
-    _save(out, "table5.csv")
+    save_table(out, "table5.csv")
     print("\n=== T5: End-to-end translation throughput ===")
     print(out.to_string(index=False, float_format=lambda v: f"{v:.2f}"))
     # Semantics must be at least an order of magnitude more condensed

@@ -6,7 +6,8 @@ designates segments that exemplify each user-defined event pattern
 identification model. We reproduce the artifact the GUI produces: a set
 of defined patterns plus labeled ``(device, time-range)`` designations,
 and the extraction of the corresponding positioning sub-sequences as
-training segments. ``designate_from_ground_truth`` plays the analyst,
+training segments, sliced from each device's time-sorted records.
+``designate_from_ground_truth`` plays the analyst,
 designating segments for a subset of devices from the simulator's
 ground-truth semantics.
 """
@@ -60,22 +61,29 @@ class EventEditor:
 
     def training_segments(self, records: pd.DataFrame) -> pd.DataFrame:
         """Slice the positioning records covered by each designation into
-        labeled segments (the model's training set)."""
-        out = []
-        for i, d in enumerate(self.designations):
-            seg = records[
-                (records["device_id"] == d.device_id)
-                & (records["ts"] >= d.t_start)
-                & (records["ts"] <= d.t_end)
-            ].copy()
-            if seg.empty:
-                continue
-            seg["segment_id"] = i
-            seg["label"] = d.pattern
-            out.append(seg[SEGMENT_COLUMNS])
-        if not out:
+        labeled segments (the model's training set). Each device's records
+        are sorted by ``ts`` once; a designation takes the slice between two
+        ``searchsorted`` bounds (inclusive), in original row order."""
+        ts = records["ts"].to_numpy()
+        by_device = {}
+        for dev, pos in records.groupby("device_id").indices.items():
+            pos = pos[np.argsort(ts[pos], kind="stable")]
+            by_device[dev] = pos, ts[pos]
+        no_records = (np.empty(0, dtype=int), np.empty(0))
+        rows = []
+        for d in self.designations:
+            pos, dev_ts = by_device.get(d.device_id, no_records)
+            lo = np.searchsorted(dev_ts, d.t_start, side="left")
+            hi = np.searchsorted(dev_ts, d.t_end, side="right")
+            rows.append(np.sort(pos[lo:hi]))
+        sizes = [len(r) for r in rows]
+        if not sum(sizes):
             return pd.DataFrame(columns=SEGMENT_COLUMNS)
-        return pd.concat(out, ignore_index=True)
+        segs = records.iloc[np.concatenate(rows)].assign(
+            segment_id=np.repeat(np.arange(len(rows)), sizes),
+            label=np.repeat([d.pattern for d in self.designations], sizes),
+        )
+        return segs[SEGMENT_COLUMNS].reset_index(drop=True)
 
 
 def designate_from_ground_truth(
@@ -95,9 +103,10 @@ def designate_from_ground_truth(
         rows = gt_semantics[gt_semantics["device_id"] == dev]
         if max_per_device is not None and len(rows) > max_per_device:
             rows = rows.sample(max_per_device, random_state=int(rng.integers(2**31)))
-        for _, r in rows.iterrows():
-            if r["t_end"] <= r["t_start"]:
+        cols = ("device_id", "t_start", "t_end", "event")
+        for dev_id, t0, t1, event in zip(*(rows[c] for c in cols)):
+            if t1 <= t0:
                 continue
-            editor.designate(r["device_id"], r["t_start"], r["t_end"], r["event"])
+            editor.designate(dev_id, t0, t1, event)
             added += 1
     return added

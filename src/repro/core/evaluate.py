@@ -7,10 +7,12 @@ retains ground truth, so every layer gets a quantitative score:
   mismatch of raw/cleaned records against ground-truth records, joined
   relationally on ``(device_id, record_id)``;
 - **semantics quality** (T3): interval-overlap matching of predicted
-  semantics against ground-truth semantics → per-event precision /
-  recall / F1 and spatial-annotation accuracy;
+  semantics against ground-truth semantics, one overlap matrix per
+  device → per-event precision / recall / F1 and spatial-annotation
+  accuracy;
 - **complement quality** (T4): inferred region paths inside dropout gaps
-  against the ground-truth regions traversed there.
+  against the ground-truth regions traversed there, each gap searched
+  in its own device's rows only.
 """
 from __future__ import annotations
 
@@ -66,37 +68,47 @@ def error_summary(err: DataFrame) -> dict[str, float]:
 def match_semantics(pred: pd.DataFrame, gt: pd.DataFrame) -> pd.DataFrame:
     """Best-overlap match per ground-truth interval, per device.
 
-    Returns one row per gt interval with the best-overlapping predicted
-    interval's event/region (NaN when nothing overlaps).
+    Returns one row per gt interval (devices sorted, then gt frame order)
+    with the best-overlapping predicted interval's event/region, the first
+    in frame order on a tie; None and ``overlap == 0.0`` when nothing
+    overlaps. Each device builds one n_gt x n_pred overlap matrix: time
+    and memory are O(gt x pred) per device.
     """
-    out = []
-    for dev, gt_dev in gt.groupby("device_id"):
-        p_dev = pred[pred["device_id"] == dev]
-        p0 = p_dev["t_start"].to_numpy(dtype=float)
-        p1 = p_dev["t_end"].to_numpy(dtype=float)
-        for _, g in gt_dev.iterrows():
-            if len(p_dev):
-                ov = np.minimum(p1, g["t_end"]) - np.maximum(p0, g["t_start"])
-                j = int(np.argmax(ov))
-                best = ov[j]
-            else:
-                best = -1.0
-            row = {
-                "device_id": dev,
-                "gt_event": g["event"],
-                "gt_region": g["region_id"],
-                "gt_t_start": g["t_start"],
-                "gt_t_end": g["t_end"],
-            }
-            if best > 0:
-                m = p_dev.iloc[j]
-                row.update(
-                    pred_event=m["event"], pred_region=m["region_id"], overlap=best
-                )
-            else:
-                row.update(pred_event=None, pred_region=None, overlap=0.0)
-            out.append(row)
-    return pd.DataFrame(out)
+    gt_rows = gt.groupby("device_id").indices
+    if not gt_rows:
+        return pd.DataFrame()
+    pred_rows = pred.groupby("device_id").indices
+    p0, p1 = (pred[c].to_numpy(dtype=float) for c in ("t_start", "t_end"))
+    g0, g1 = (gt[c].to_numpy(dtype=float) for c in ("t_start", "t_end"))
+    best = np.full(len(gt), -1.0)
+    match = np.zeros(len(gt), dtype=int)
+    for dev, rows in gt_rows.items():
+        if dev in pred_rows:
+            cand = pred_rows[dev]
+            ov = np.minimum.outer(g1[rows], p1[cand])
+            ov -= np.maximum.outer(g0[rows], p0[cand])
+            match[rows], best[rows] = cand[ov.argmax(axis=1)], ov.max(axis=1)
+    order = np.concatenate([gt_rows[dev] for dev in sorted(gt_rows)])
+    best, match = best[order], match[order]
+    hit = best > 0
+
+    def matched(col: str) -> np.ndarray:
+        out = np.full(len(order), None, dtype=object)
+        out[hit] = pred[col].to_numpy(dtype=object)[match[hit]]
+        return out
+
+    return pd.DataFrame(
+        {
+            "device_id": gt["device_id"].to_numpy()[order],
+            "gt_event": gt["event"].to_numpy()[order],
+            "gt_region": gt["region_id"].to_numpy()[order],
+            "gt_t_start": gt["t_start"].to_numpy()[order],
+            "gt_t_end": gt["t_end"].to_numpy()[order],
+            "pred_event": matched("event"),
+            "pred_region": matched("region_id"),
+            "overlap": np.where(hit, best, 0.0),
+        }
+    )
 
 
 def semantics_scores(pred: pd.DataFrame, gt: pd.DataFrame) -> dict[str, float]:
@@ -178,29 +190,26 @@ def complement_scores(
             "transit_exact": float("nan"),
             "path_recovered": float("nan"),
         }
+    inf_rows = complemented[complemented["inferred"]]
+    inferred = {dev: g for dev, g in inf_rows.groupby("device_id")}
+    truth = {dev: g for dev, g in gt_sem.groupby("device_id")}
+    no_rows = gt_sem.iloc[:0]
     exact, jac, transit, recovered = [], [], [], []
-    for _, gap in gaps.iterrows():
-        dev = gap["device_id"]
-        lo, hi = float(gap["gap_start"]), float(gap["gap_end"])
-        inf = complemented[
-            (complemented["device_id"] == dev)
-            & complemented["inferred"]
-            & (complemented["t_start"] >= lo - 1e-6)
-            & (complemented["t_end"] <= hi + 1e-6)
-        ].sort_values("t_start")
-        gt_in = gt_sem[
-            (gt_sem["device_id"] == dev)
-            & (gt_sem["t_end"] > lo)
-            & (gt_sem["t_start"] < hi)
-        ].sort_values("t_start")
+    for dev, lo, hi, flanks in zip(
+        gaps["device_id"],
+        gaps["gap_start"].astype(float),
+        gaps["gap_end"].astype(float),
+        zip(gaps["from_region"], gaps["to_region"]),
+    ):
+        inf, gt_in = inferred.get(dev, no_rows), truth.get(dev, no_rows)
+        inf = inf[(inf["t_start"] >= lo - 1e-6) & (inf["t_end"] <= hi + 1e-6)]
+        gt_in = gt_in[(gt_in["t_end"] > lo) & (gt_in["t_start"] < hi)]
         # Ground-truth interior: regions inside the gap, excluding the
         # flanking regions the Annotator already produced.
         gt_regions = [
-            r
-            for r in gt_in["region_id"]
-            if r not in (gap["from_region"], gap["to_region"])
+            r for r in gt_in.sort_values("t_start")["region_id"] if r not in flanks
         ]
-        inf_regions = list(inf["region_id"])
+        inf_regions = list(inf.sort_values("t_start")["region_id"])
         exact.append(inf_regions == _dedup(gt_regions))
         a, b = set(inf_regions), set(gt_regions)
         jac.append(len(a & b) / len(a | b) if (a | b) else 1.0)

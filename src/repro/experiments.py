@@ -209,9 +209,9 @@ def table4(spark: SparkSession, *, sf: float = 0.1, seed: int = 0) -> pd.DataFra
     adjacency = dsm.region_adjacency()
     halls = dsm.hall_regions()
 
+    masked_all, gaps = _mask_transits(sem, halls)
     rows = []
     for mode in ("map", "hops"):
-        masked_all, gaps = _mask_transits(sem, halls)
         # Threshold below the masked transits' durations (they are >= 15 s
         # by construction) but above the sampling period, so every masked
         # window registers as a gap and nothing else does.
@@ -241,36 +241,27 @@ def _mask_transits(
     sem: pd.DataFrame, halls: set[str], max_interior: int = 4
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Remove hall-only interiors between two non-hall anchors, producing
-    (masked semantics, gap descriptors)."""
+    (masked semantics, gap descriptors).
+
+    Anchors are a device's non-hall rows in ``seq`` order, so the rows
+    between two consecutive anchors are halls. Such an interior of 1 to
+    ``max_interior`` rows is masked when its anchors lie at least 15 s
+    apart, so that the masked window registers as a gap downstream.
+    """
     masked_parts, gaps = [], []
     for dev, g in sem.groupby("device_id"):
         g = g.sort_values("seq").reset_index(drop=True)
-        drop: set[int] = set()
-        anchors = [
-            i for i in range(len(g)) if g.loc[i, "region_id"] not in halls
-        ]
-        for a, b in zip(anchors, anchors[1:]):
-            interior = list(range(a + 1, b))
-            if not interior or len(interior) > max_interior:
-                continue
-            if not all(g.loc[i, "region_id"] in halls for i in interior):
-                continue
-            if any(i in drop for i in interior):
-                continue
-            # The masked window must register as a gap downstream.
-            if g.loc[b, "t_start"] - g.loc[a, "t_end"] < 15.0:
-                continue
-            drop.update(interior)
-            gaps.append(
-                {
-                    "device_id": dev,
-                    "from_region": g.loc[a, "region_id"],
-                    "to_region": g.loc[b, "region_id"],
-                    "gap_start": g.loc[a, "t_end"],
-                    "gap_end": g.loc[b, "t_start"],
-                }
-            )
-        masked_parts.append(g.drop(index=list(drop)))
+        region = g["region_id"].to_numpy()
+        t0, t1 = g["t_start"].to_numpy(), g["t_end"].to_numpy()
+        is_anchor = ~g["region_id"].isin(halls).to_numpy()
+        anchors = np.flatnonzero(is_anchor)
+        a, b = anchors[:-1], anchors[1:]
+        ok = (b - a > 1) & (b - a - 1 <= max_interior) & (t0[b] - t1[a] >= 15.0)
+        a, b = a[ok], b[ok]
+        # A hall row belongs to the interior after the anchor preceding it.
+        prev = np.maximum.accumulate(np.where(is_anchor, np.arange(len(g)), -1))
+        masked_parts.append(g[is_anchor | ~np.isin(prev, a)])
+        gaps.extend(zip([dev] * len(a), region[a], region[b], t1[a], t0[b]))
     return (
         pd.concat(masked_parts, ignore_index=True),
         pd.DataFrame(gaps, columns=["device_id", "from_region", "to_region", "gap_start", "gap_end"]),

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..core.features import label_runs
 from ..dsm.entities import CORRIDOR
 from ..dsm.graph import IndoorGraph
 from ..dsm.model import DigitalSpaceModel
@@ -172,53 +173,36 @@ def ground_truth_semantics(
     of a single sample are flicker (e.g. a door grazed mid-walk) and are
     absorbed into the preceding interval.
     """
-    region_ids = dsm.locate_regions(
-        records["x"].to_numpy(), records["y"].to_numpy(), records["floor"].to_numpy()
-    )
-    ts = records["ts"].to_numpy()
-    device = records["device_id"].iloc[0] if len(records) else None
-
-    runs: list[list] = []  # [region, t_start, t_end, n_samples]
-    for i in range(len(records)):
-        rid = region_ids[i]
-        if rid is None:
-            continue
-        if runs and runs[-1][0] == rid:
-            runs[-1][2] = ts[i]
-            runs[-1][3] += 1
-        else:
-            runs.append([rid, ts[i], ts[i], 1])
-    merged: list[list] = []
-    for run in runs:
-        if run[3] == 1 and merged:
-            merged[-1][2] = max(merged[-1][2], run[2])
-        else:
-            merged.append(run)
+    xs, ys, floors = (records[c].to_numpy() for c in ("x", "y", "floor"))
+    region_ids = np.array(dsm.locate_regions(xs, ys, floors), dtype=object)
+    located = pd.notna(region_ids)
+    region, ts = region_ids[located], records["ts"].to_numpy()[located]
+    if not len(region):
+        return pd.DataFrame(columns=SEMANTIC_COLUMNS)
+    start, end = np.array(label_runs(region)).T
+    # Every run but the first needs two samples; the kept run before a
+    # one-sample run extends over it.
+    kept = np.flatnonzero((end - start > 1) | (np.arange(len(start)) == 0))
+    kept_end = np.maximum.reduceat(ts[end - 1], kept)
+    kept_region = region[start[kept]]
     # Re-merge adjacent same-region runs created by flicker absorption.
-    final: list[list] = []
-    for run in merged:
-        if final and final[-1][0] == run[0]:
-            final[-1][2] = run[2]
-            final[-1][3] += run[3]
-        else:
-            final.append(run)
-
-    halls = dsm.hall_regions()
-    rows = []
-    for seq, (rid, t0, t1, _n) in enumerate(final):
-        dur = t1 - t0 + period_s
-        is_stay = rid not in halls and dur >= stay_threshold_s
-        rows.append(
-            {
-                "device_id": device,
-                "seq": seq,
-                "event": "stay" if is_stay else "pass-by",
-                "region_id": rid,
-                "t_start": float(t0),
-                "t_end": float(t1),
-            }
-        )
-    return pd.DataFrame(rows, columns=SEMANTIC_COLUMNS)
+    first, last = np.array(label_runs(kept_region)).T
+    t0 = ts[start[kept[first]]].astype(float)
+    t1 = kept_end[last - 1].astype(float)
+    rid = kept_region[first]
+    is_stay = ~pd.Series(rid).isin(dsm.hall_regions()).to_numpy() & (
+        t1 - t0 + period_s >= stay_threshold_s
+    )
+    return pd.DataFrame(
+        {
+            "device_id": records["device_id"].iloc[0],
+            "seq": np.arange(len(rid)),
+            "event": np.where(is_stay, "stay", "pass-by"),
+            "region_id": rid,
+            "t_start": t0,
+            "t_end": t1,
+        }
+    )
 
 
 def simulate_population(

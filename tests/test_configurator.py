@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.configurator import EventEditor, SpaceModeler, designate_from_ground_truth
+from repro.configurator.event_editor import SEGMENT_COLUMNS
 from repro.dsm import CORRIDOR, ROOM, DigitalSpaceModel, build_mall
 from repro.positioning import simulate_population
 
@@ -160,3 +161,120 @@ class TestEventEditor:
         pdf = ed.designations_frame()
         assert list(pdf.columns) == ["device_id", "t_start", "t_end", "pattern"]
         assert len(pdf) == 1
+
+
+def _reference_training_segments(designations, records):
+    """``EventEditor.training_segments`` filtering the whole records frame
+    once per designation, the implementation the per-device
+    ``searchsorted`` slices replaced."""
+    out = []
+    for i, d in enumerate(designations):
+        seg = records[
+            (records["device_id"] == d.device_id)
+            & (records["ts"] >= d.t_start)
+            & (records["ts"] <= d.t_end)
+        ].copy()
+        if seg.empty:
+            continue
+        seg["segment_id"] = i
+        seg["label"] = d.pattern
+        out.append(seg[SEGMENT_COLUMNS])
+    if not out:
+        return pd.DataFrame(columns=SEGMENT_COLUMNS)
+    return pd.concat(out, ignore_index=True)
+
+
+def _reference_designate(editor, gt_semantics, devices, *, max_per_device=None, rng=None):
+    """``designate_from_ground_truth`` walking the rows with ``iterrows``."""
+    rng = rng or np.random.default_rng(0)
+    added = 0
+    for dev in devices:
+        rows = gt_semantics[gt_semantics["device_id"] == dev]
+        if max_per_device is not None and len(rows) > max_per_device:
+            rows = rows.sample(max_per_device, random_state=int(rng.integers(2**31)))
+        for _, r in rows.iterrows():
+            if r["t_end"] <= r["t_start"]:
+                continue
+            editor.designate(r["device_id"], r["t_start"], r["t_end"], r["event"])
+            added += 1
+    return added
+
+
+def _editor():
+    ed = EventEditor()
+    ed.define_pattern("stay")
+    ed.define_pattern("pass-by")
+    return ed
+
+
+class TestEditorAgainstReference:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_designations(self, seed):
+        """Shuffled records of three devices on a 5 s grid (with repeated
+        timestamps); designations on unknown devices, over ranges between
+        two samples and with bounds exactly on a record's ``ts``."""
+        rng = np.random.default_rng(seed)
+        n = 90
+        records = pd.DataFrame(
+            {
+                "device_id": np.array(["a", "b", "c"])[rng.integers(0, 3, n)],
+                "record_id": np.arange(n),
+                "ts": 5.0 * rng.integers(0, 30, n),
+                "x": rng.normal(size=n),
+                "y": rng.normal(size=n),
+                "floor": rng.integers(1, 3, n),
+            },
+            index=rng.permutation(n) + 1000,
+        )
+        ed = _editor()
+        for _ in range(25):
+            dev = ("a", "b", "c", "ghost")[rng.integers(4)]
+            t0 = 5.0 * int(rng.integers(0, 32)) + (0.0, 1.0)[rng.integers(2)]
+            t1 = t0 + 5.0 * int(rng.integers(0, 6)) + (0.0, 2.0, 3.0)[rng.integers(3)]
+            if t1 > t0:
+                ed.designate(dev, t0, t1, ("stay", "pass-by")[rng.integers(2)])
+        for recs in (records, records.sort_values(["device_id", "ts"])):
+            pd.testing.assert_frame_equal(
+                ed.training_segments(recs),
+                _reference_training_segments(ed.designations, recs),
+                check_exact=True,
+            )
+
+    def test_no_record_covered(self):
+        ed = _editor()
+        ed.designate("a", 1.0, 4.0, "stay")
+        records = pd.DataFrame(
+            {"device_id": ["a", "a"], "record_id": [0, 1], "ts": [0.0, 5.0],
+             "x": [0.0, 1.0], "y": [0.0, 1.0], "floor": [1, 1]}
+        )
+        pd.testing.assert_frame_equal(
+            ed.training_segments(records),
+            _reference_training_segments(ed.designations, records),
+        )
+
+    def test_bounds_on_a_record_are_inclusive(self):
+        ed = _editor()
+        ed.designate("a", 5.0, 10.0, "pass-by")
+        records = pd.DataFrame(
+            {"device_id": ["a"] * 4, "record_id": range(4), "ts": [10.0, 0.0, 5.0, 15.0],
+             "x": 0.0, "y": 0.0, "floor": 1}
+        )
+        segs = ed.training_segments(records)
+        assert list(segs["ts"]) == [10.0, 5.0]
+        pd.testing.assert_frame_equal(
+            segs, _reference_training_segments(ed.designations, records), check_exact=True
+        )
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_designations_from_ground_truth(self, cap):
+        mall = build_mall(n_floors=2, shops_per_side=4)
+        _, sem = simulate_population(mall, n_devices=3, duration_s=1800, period_s=5.0, seed=4)
+        devs = sorted(sem["device_id"].unique())
+        got, want = _editor(), _editor()
+        n = designate_from_ground_truth(
+            got, sem, devs, max_per_device=cap, rng=np.random.default_rng(1)
+        )
+        assert n == _reference_designate(
+            want, sem, devs, max_per_device=cap, rng=np.random.default_rng(1)
+        )
+        assert got.designations == want.designations

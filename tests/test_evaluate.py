@@ -5,11 +5,17 @@ import pytest
 
 from repro.core.evaluate import (
     _dedup,
+    _is_subsequence,
     complement_scores,
     match_semantics,
     semantics_scores,
 )
 from repro.dsm import build_mall
+
+
+_COLUMNS = [
+    "device_id", "seq", "event", "region_id", "tag", "t_start", "t_end", "n_records", "inferred"
+]
 
 
 def _sem(dev, rows, inferred=False):
@@ -27,7 +33,8 @@ def _sem(dev, rows, inferred=False):
                 "inferred": inferred,
             }
             for i, (ev, rid, t0, t1) in enumerate(rows)
-        ]
+        ],
+        columns=_COLUMNS,
     )
 
 
@@ -201,3 +208,187 @@ class TestHelpers:
         mall = build_mall(n_floors=2, shops_per_side=4, hall_sections=3)
         halls = mall.hall_regions()
         assert halls == {f"R-F{f}-hall{j}" for f in (1, 2) for j in range(3)}
+
+
+# ----------------------------------------------------------------------
+# The per-device array implementations against the row-by-row originals
+# ----------------------------------------------------------------------
+def _reference_match(pred, gt):
+    """``match_semantics`` as a loop over gt rows (one overlap vector per
+    row), the implementation the per-device overlap matrix replaced."""
+    out = []
+    for dev, gt_dev in gt.groupby("device_id"):
+        p_dev = pred[pred["device_id"] == dev]
+        p0 = p_dev["t_start"].to_numpy(dtype=float)
+        p1 = p_dev["t_end"].to_numpy(dtype=float)
+        for _, g in gt_dev.iterrows():
+            if len(p_dev):
+                ov = np.minimum(p1, g["t_end"]) - np.maximum(p0, g["t_start"])
+                j = int(np.argmax(ov))
+                best = ov[j]
+            else:
+                best = -1.0
+            row = {
+                "device_id": dev,
+                "gt_event": g["event"],
+                "gt_region": g["region_id"],
+                "gt_t_start": g["t_start"],
+                "gt_t_end": g["t_end"],
+            }
+            if best > 0:
+                m = p_dev.iloc[j]
+                row.update(
+                    pred_event=m["event"], pred_region=m["region_id"], overlap=best
+                )
+            else:
+                row.update(pred_event=None, pred_region=None, overlap=0.0)
+            out.append(row)
+    return pd.DataFrame(out)
+
+
+def _reference_complement_scores(complemented, gt_sem, gaps, *, transit_regions=None):
+    """``complement_scores`` filtering the whole frames once per gap, the
+    implementation the per-device split replaced (empty-gaps case
+    omitted)."""
+    exact, jac, transit, recovered = [], [], [], []
+    for _, gap in gaps.iterrows():
+        dev = gap["device_id"]
+        lo, hi = float(gap["gap_start"]), float(gap["gap_end"])
+        inf = complemented[
+            (complemented["device_id"] == dev)
+            & complemented["inferred"]
+            & (complemented["t_start"] >= lo - 1e-6)
+            & (complemented["t_end"] <= hi + 1e-6)
+        ].sort_values("t_start")
+        gt_in = gt_sem[
+            (gt_sem["device_id"] == dev)
+            & (gt_sem["t_end"] > lo)
+            & (gt_sem["t_start"] < hi)
+        ].sort_values("t_start")
+        gt_regions = [
+            r
+            for r in gt_in["region_id"]
+            if r not in (gap["from_region"], gap["to_region"])
+        ]
+        inf_regions = list(inf["region_id"])
+        exact.append(inf_regions == _dedup(gt_regions))
+        a, b = set(inf_regions), set(gt_regions)
+        jac.append(len(a & b) / len(a | b) if (a | b) else 1.0)
+        if transit_regions is not None:
+            gt_t = _dedup([r for r in gt_regions if r in transit_regions])
+            inf_t = _dedup([r for r in inf_regions if r in transit_regions])
+            transit.append(inf_t == gt_t)
+            recovered.append(_is_subsequence(gt_t, inf_t))
+    out = {
+        "n_gaps": int(len(gaps)),
+        "path_exact": float(np.mean(exact)),
+        "jaccard": float(np.mean(jac)),
+    }
+    out["transit_exact"] = float(np.mean(transit)) if transit else float("nan")
+    out["path_recovered"] = float(np.mean(recovered)) if recovered else float("nan")
+    return out
+
+
+_REGIONS = ["A", "B", "H", "H2", None]
+
+
+def _random_sem(rng, devices, n_max, inferred=False):
+    """Intervals on a 5 s grid over few regions, so that tied overlaps,
+    touching and zero-length intervals are common; rows shuffled."""
+    rows = [
+        (
+            dev,
+            ("stay", "pass-by")[rng.integers(2)],
+            _REGIONS[rng.integers(len(_REGIONS))],
+            t0,
+            t0 + 5.0 * int(rng.integers(0, 6)),
+        )
+        for dev in devices
+        for t0 in 5.0 * rng.integers(0, 40, size=int(rng.integers(0, n_max + 1)))
+    ]
+    sem = pd.concat(
+        [_sem(dev, [(ev, rid, t0, t1)], inferred) for dev, ev, rid, t0, t1 in rows]
+        or [_sem("d", [])]
+    )
+    return sem.sample(frac=1.0, random_state=int(rng.integers(2**31)))
+
+
+def _same_scores(got, want):
+    assert got.keys() == want.keys()
+    for k, v in want.items():
+        assert (np.isnan(v) and np.isnan(got[k])) or got[k] == v, k
+
+
+class TestMatchAgainstReference:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_frames(self, seed):
+        """d0 has no predictions, d3 no ground truth; frames unsorted."""
+        rng = np.random.default_rng(seed)
+        gt = _random_sem(rng, ["d0", "d1", "d2"], 8)
+        pred = _random_sem(rng, ["d1", "d2", "d3"], 8)
+        for a, b in ((pred, gt), (gt, pred)):
+            pd.testing.assert_frame_equal(
+                match_semantics(a, b), _reference_match(a, b), check_exact=True
+            )
+
+    def test_tie_goes_to_first_in_frame_order(self):
+        gt = _sem("d", [("stay", "A", 0, 100)])
+        pred = _sem("d", [("pass-by", "H", 0, 50), ("stay", "A", 50, 100)])
+        for p, event in ((pred, "pass-by"), (pred.iloc[::-1], "stay")):
+            m = match_semantics(p, gt)
+            assert m.iloc[0]["pred_event"] == event
+            pd.testing.assert_frame_equal(m, _reference_match(p, gt), check_exact=True)
+
+    def test_touching_intervals_do_not_match(self):
+        gt = _sem("d", [("stay", "A", 0, 100), ("stay", "B", 200, 300)])
+        pred = _sem("d", [("stay", "A", 100, 200)])
+        m = match_semantics(pred, gt)
+        assert m["pred_event"].isna().all() and (m["overlap"] == 0.0).all()
+        pd.testing.assert_frame_equal(m, _reference_match(pred, gt), check_exact=True)
+
+    def test_gt_device_without_predictions(self):
+        gt = pd.concat(
+            [_sem("e", [("stay", "B", 0, 50)]), _sem("d", [("stay", "A", 0, 100)])]
+        )
+        pred = _sem("d", [("stay", "A", 0, 100)])
+        m = match_semantics(pred, gt)
+        assert list(m["device_id"]) == ["d", "e"]
+        assert list(m["pred_event"]) == ["stay", None]
+        pd.testing.assert_frame_equal(m, _reference_match(pred, gt), check_exact=True)
+
+    def test_empty_ground_truth(self):
+        gt = _sem("d", [])
+        pred = _sem("d", [("stay", "A", 0, 100)])
+        pd.testing.assert_frame_equal(match_semantics(pred, gt), _reference_match(pred, gt))
+
+
+class TestComplementScoresAgainstReference:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_gaps(self, seed):
+        """Several devices (d3 has gaps but no rows at all); inferred rows
+        start and end on, just inside and just outside the +-1e-6 bounds."""
+        rng = np.random.default_rng(seed)
+        gt = _random_sem(rng, ["d0", "d1", "d2"], 12)
+        gaps, inferred = [], []
+        for dev in ("d0", "d1", "d2", "d3"):
+            for _ in range(int(rng.integers(dev == "d0", 4))):
+                lo = 5.0 * int(rng.integers(0, 30))
+                hi = lo + 5.0 * int(rng.integers(1, 8))
+                gaps.append((dev, _REGIONS[rng.integers(5)], _REGIONS[rng.integers(5)], lo, hi))
+                if dev == "d3":
+                    continue
+                for _ in range(int(rng.integers(0, 5))):
+                    t0 = lo + (-2e-6, -1e-6, 0.0, 5.0)[rng.integers(4)]
+                    t1 = hi + (2e-6, 1e-6, 0.0, -5.0)[rng.integers(4)]
+                    ev_rid = ("pass-by", _REGIONS[rng.integers(5)])
+                    inferred.append(_sem(dev, [(*ev_rid, t0, max(t0, t1))], True))
+        gaps = pd.DataFrame(
+            gaps, columns=["device_id", "from_region", "to_region", "gap_start", "gap_end"]
+        )
+        comp = pd.concat([_random_sem(rng, ["d0", "d1", "d2"], 6), *inferred])
+        comp = comp.sample(frac=1.0, random_state=seed)
+        for transit in (None, {"H", "H2"}):
+            _same_scores(
+                complement_scores(comp, gt, gaps, transit_regions=transit),
+                _reference_complement_scores(comp, gt, gaps, transit_regions=transit),
+            )

@@ -134,3 +134,122 @@ class TestPopulation:
         )
         a, b = [g for _, g in rec.groupby("device_id")]
         assert not np.allclose(a["x"].to_numpy(), b["x"].to_numpy())
+
+
+def _reference_ground_truth_semantics(dsm, records, *, period_s, stay_threshold_s=60.0):
+    """``ground_truth_semantics`` as three Python passes over the records
+    (runs, flicker absorption, re-merge), the implementation the
+    ``label_runs`` version replaced."""
+    region_ids = dsm.locate_regions(
+        records["x"].to_numpy(), records["y"].to_numpy(), records["floor"].to_numpy()
+    )
+    ts = records["ts"].to_numpy()
+    device = records["device_id"].iloc[0] if len(records) else None
+    runs: list[list] = []
+    for i in range(len(records)):
+        rid = region_ids[i]
+        if rid is None:
+            continue
+        if runs and runs[-1][0] == rid:
+            runs[-1][2] = ts[i]
+            runs[-1][3] += 1
+        else:
+            runs.append([rid, ts[i], ts[i], 1])
+    merged: list[list] = []
+    for run in runs:
+        if run[3] == 1 and merged:
+            merged[-1][2] = max(merged[-1][2], run[2])
+        else:
+            merged.append(run)
+    final: list[list] = []
+    for run in merged:
+        if final and final[-1][0] == run[0]:
+            final[-1][2] = run[2]
+            final[-1][3] += run[3]
+        else:
+            final.append(run)
+    halls = dsm.hall_regions()
+    rows = []
+    for seq, (rid, t0, t1, _n) in enumerate(final):
+        dur = t1 - t0 + period_s
+        is_stay = rid not in halls and dur >= stay_threshold_s
+        rows.append(
+            {
+                "device_id": device,
+                "seq": seq,
+                "event": "stay" if is_stay else "pass-by",
+                "region_id": rid,
+                "t_start": float(t0),
+                "t_end": float(t1),
+            }
+        )
+    return pd.DataFrame(rows, columns=SEMANTIC_COLUMNS)
+
+
+class _StubDSM:
+    """Locates record ``i`` (its ``x``) in ``regions[i]``."""
+
+    def __init__(self, regions):
+        self.regions = regions
+
+    def locate_regions(self, xs, ys, floors):
+        return [self.regions[int(i)] for i in xs]
+
+    def hall_regions(self):
+        return {"H"}
+
+
+def _records(n):
+    return pd.DataFrame(
+        {
+            "device_id": "dev",
+            "record_id": np.arange(n),
+            "ts": 5.0 * np.arange(n),
+            "x": np.arange(n, dtype=float),
+            "y": 0.0,
+            "floor": 1,
+        }
+    )
+
+
+class TestGroundTruthAgainstReference:
+    @pytest.mark.parametrize(
+        "regions",
+        [
+            [],
+            [None, None],
+            ["A"],
+            ["A", "B", "B", "B"],  # a first run of one sample is kept
+            [None, "A", None, "A", "A", None],  # None records drop out
+            ["A"] * 15 + ["B"] + ["A"] * 3,  # A-flicker-A re-merges
+            ["A"] * 4 + ["B", "H", "C"] + ["H"] * 3,  # consecutive flickers
+            ["H", "H", "B", "H", "H", "B", "B"],
+        ],
+    )
+    def test_cases(self, regions):
+        dsm, rec = _StubDSM(regions), _records(len(regions))
+        pd.testing.assert_frame_equal(
+            ground_truth_semantics(dsm, rec, period_s=5.0),
+            _reference_ground_truth_semantics(dsm, rec, period_s=5.0),
+            check_exact=True,
+        )
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_sequences(self, seed):
+        """Runs of 1-14 samples over few regions and None, so that
+        flickers, re-merges and stays of exactly the threshold occur."""
+        rng = np.random.default_rng(seed)
+        regions = [
+            r
+            for _ in range(int(rng.integers(1, 25)))
+            for r in [("A", "B", "H", None)[rng.integers(4)]] * int(rng.integers(1, 15))
+        ]
+        dsm, rec = _StubDSM(regions), _records(len(regions))
+        for threshold in (60.0, 20.0):
+            pd.testing.assert_frame_equal(
+                ground_truth_semantics(dsm, rec, period_s=5.0, stay_threshold_s=threshold),
+                _reference_ground_truth_semantics(
+                    dsm, rec, period_s=5.0, stay_threshold_s=threshold
+                ),
+                check_exact=True,
+            )
