@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from functools import partial
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -139,6 +140,22 @@ def complement_sequence(
     return out
 
 
+def complement_stage(
+    dsm: DigitalSpaceModel,
+    trans_counts: dict[tuple[str, str], float],
+    *,
+    gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
+    alpha: float = DEFAULT_ALPHA,
+    mode: str = "map",
+) -> tuple[Callable[..., pd.DataFrame], tuple]:
+    """The Complementor's per-device kernel and the side data it is run
+    with, for the stage runner."""
+    kernel = partial(
+        complement_sequence, gap_threshold_s=gap_threshold_s, alpha=alpha, mode=mode
+    )
+    return kernel, (dsm, dsm.region_adjacency(), trans_counts)
+
+
 def complement(
     semantics: DataFrame,
     dsm: DigitalSpaceModel,
@@ -149,12 +166,10 @@ def complement(
     mode: str = "map",
 ) -> DataFrame:
     """Distributed complementing of all devices' semantics sequences."""
-    kernel = partial(
-        complement_sequence, gap_threshold_s=gap_threshold_s, alpha=alpha, mode=mode
+    kernel, side = complement_stage(
+        dsm, trans_counts, gap_threshold_s=gap_threshold_s, alpha=alpha, mode=mode
     )
-    return per_device(
-        semantics, kernel, SEMANTICS_SCHEMA, dsm, dsm.region_adjacency(), trans_counts
-    )
+    return per_device(semantics, kernel, SEMANTICS_SCHEMA, *side)
 
 
 def find_gaps(semantics: DataFrame, *, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> DataFrame:

@@ -71,12 +71,11 @@ def match_semantics(pred: pd.DataFrame, gt: pd.DataFrame) -> pd.DataFrame:
     Returns one row per gt interval (devices sorted, then gt frame order)
     with the best-overlapping predicted interval's event/region, the first
     in frame order on a tie; None and ``overlap == 0.0`` when nothing
-    overlaps. Each device builds one n_gt x n_pred overlap matrix: time
-    and memory are O(gt x pred) per device.
+    overlaps. An empty ``gt`` gives an empty frame with the same columns.
+    Each device builds one n_gt x n_pred overlap matrix: time and memory
+    are O(gt x pred) per device.
     """
     gt_rows = gt.groupby("device_id").indices
-    if not gt_rows:
-        return pd.DataFrame()
     pred_rows = pred.groupby("device_id").indices
     p0, p1 = (pred[c].to_numpy(dtype=float) for c in ("t_start", "t_end"))
     g0, g1 = (gt[c].to_numpy(dtype=float) for c in ("t_start", "t_end"))
@@ -88,7 +87,9 @@ def match_semantics(pred: pd.DataFrame, gt: pd.DataFrame) -> pd.DataFrame:
             ov = np.minimum.outer(g1[rows], p1[cand])
             ov -= np.maximum.outer(g0[rows], p0[cand])
             match[rows], best[rows] = cand[ov.argmax(axis=1)], ov.max(axis=1)
-    order = np.concatenate([gt_rows[dev] for dev in sorted(gt_rows)])
+    order = np.concatenate(
+        [np.empty(0, dtype=np.intp)] + [gt_rows[dev] for dev in sorted(gt_rows)]
+    )
     best, match = best[order], match[order]
     hit = best > 0
 

@@ -5,8 +5,9 @@ user-defined event patterns (stay, pass-by, ...) from positioning
 snippets. We implement multinomial logistic regression on numpy with
 feature standardization and L2 regularization — the training sets an
 analyst can designate by hand are small, so driver-side training is the
-right scale; *applying* the model runs distributed inside
-``applyInPandas`` workers (the model object is broadcast).
+right scale; *applying* the model runs distributed inside the
+per-device stage runner's Python workers (the model object is
+broadcast).
 """
 from __future__ import annotations
 

@@ -19,11 +19,11 @@ from ..dsm.graph import IndoorGraph
 from ..dsm.model import DigitalSpaceModel
 from .annotation import SEMANTICS_COLUMNS, SEMANTICS_SCHEMA, annotate_sequence
 from .cleaning import CLEANED_COLUMNS, CLEANED_SCHEMA, DEFAULT_VMAX, clean_sequence
-from .complement import DEFAULT_GAP_THRESHOLD_S, complement
+from .complement import DEFAULT_GAP_THRESHOLD_S, complement_stage
 from .events import EventModel
-from .knowledge import build_knowledge, knowledge_to_dict
+from .knowledge import KNOWLEDGE_SCHEMA, count_transitions, knowledge_to_dict
 from .splitting import DEFAULT_EPS_M, DEFAULT_MIN_SNIPPET_S, DEFAULT_WINDOW_S
-from .stage import per_device
+from .stage import per_device, per_device_in_place
 
 #: The first pass's output: a device's cleaned records and its semantics
 #: rows in one frame. ``seq`` is null on the record rows.
@@ -90,10 +90,12 @@ def translate(
 
     Knowledge Construction aggregates over *all* annotated sequences, so
     the per-device work runs in two passes, one on each side of it. The
-    first cleans and annotates each device in one task; its output is
-    cached, and ``cleaned`` and ``semantics`` are views of it. The
-    knowledge is collected once and broadcast to the second pass, the
-    Complementor, which re-reads the per-device semantics.
+    first shuffles the raw records by device and cleans and annotates
+    each device in one task; its output is cached, and ``cleaned`` and
+    ``semantics`` are views of it. Counting the knowledge on the driver
+    scans the semantics, which fills the cache. The second pass, the
+    Complementor, runs on the cached semantics where each device already
+    sits, with the knowledge broadcast, so the translation shuffles once.
     """
     kernel = partial(
         clean_annotate_sequence,
@@ -108,13 +110,16 @@ def translate(
     is_record = F.col("seq").isNull()
     cleaned = first_pass.where(is_record).select(*CLEANED_COLUMNS)
     semantics = first_pass.where(~is_record).select(*SEMANTICS_COLUMNS)
-    knowledge = build_knowledge(semantics)
-    complemented = complement(
-        semantics,
+    transitions = count_transitions(semantics)
+    knowledge = raw.sparkSession.createDataFrame(transitions, KNOWLEDGE_SCHEMA)
+    complement_kernel, side = complement_stage(
         dsm,
-        knowledge_to_dict(knowledge),
+        knowledge_to_dict(transitions),
         gap_threshold_s=gap_threshold_s,
         mode=complement_mode,
+    )
+    complemented = per_device_in_place(
+        semantics, complement_kernel, SEMANTICS_SCHEMA, *side
     )
     return TranslationResult(
         raw=raw,

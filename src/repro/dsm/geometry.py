@@ -1,9 +1,9 @@
 """Planar geometry primitives for the Digital Space Model.
 
-Everything here is pure numpy so it can run inside ``applyInPandas``
-workers without extra dependencies. Polygons are ``(n, 2)`` float arrays
-of vertices in order (closed implicitly); points are ``(x, y)`` pairs or
-``(m, 2)`` arrays for the vectorized variants.
+Everything here is pure numpy so it can run inside the per-device stage
+runner's Python workers without extra dependencies. Polygons are
+``(n, 2)`` float arrays of vertices in order (closed implicitly); points
+are ``(x, y)`` pairs or ``(m, 2)`` arrays for the vectorized variants.
 """
 from __future__ import annotations
 

@@ -262,8 +262,13 @@ def _mask_transits(
         prev = np.maximum.accumulate(np.where(is_anchor, np.arange(len(g)), -1))
         masked_parts.append(g[is_anchor | ~np.isin(prev, a)])
         gaps.extend(zip([dev] * len(a), region[a], region[b], t1[a], t0[b]))
+    masked = (
+        pd.concat(masked_parts, ignore_index=True)
+        if masked_parts
+        else sem.iloc[:0].reset_index(drop=True)
+    )
     return (
-        pd.concat(masked_parts, ignore_index=True),
+        masked,
         pd.DataFrame(gaps, columns=["device_id", "from_region", "to_region", "gap_start", "gap_end"]),
     )
 

@@ -357,9 +357,26 @@ class TestMatchAgainstReference:
         pd.testing.assert_frame_equal(m, _reference_match(pred, gt), check_exact=True)
 
     def test_empty_ground_truth(self):
+        """The row loop gave a frame without columns here; the array
+        version keeps its 8 columns, so callers can still select them."""
         gt = _sem("d", [])
         pred = _sem("d", [("stay", "A", 0, 100)])
-        pd.testing.assert_frame_equal(match_semantics(pred, gt), _reference_match(pred, gt))
+        m = match_semantics(pred, gt)
+        assert _reference_match(pred, gt).empty
+        assert list(m.columns) == [
+            "device_id", "gt_event", "gt_region", "gt_t_start", "gt_t_end",
+            "pred_event", "pred_region", "overlap",
+        ]
+        assert len(m) == 0
+        assert m["overlap"].dtype == np.float64
+        assert m["pred_event"].dtype == object
+
+    def test_empty_predictions_score_zero(self):
+        gt = _sem("d", [("stay", "A", 0, 100), ("pass-by", "H", 110, 130)])
+        s = semantics_scores(_sem("d", []), gt)
+        assert s["macro_f1"] == 0.0
+        assert s["stay_f1"] == 0.0 and s["pass-by_f1"] == 0.0
+        assert s["stay_recall"] == 0.0
 
 
 class TestComplementScoresAgainstReference:

@@ -164,6 +164,15 @@ class TestMaskTransitsAgainstReference:
         for g, w in zip(_mask_transits(sem, {"H1"}), _reference_mask_transits(sem, {"H1"})):
             pd.testing.assert_frame_equal(g, w, check_exact=True)
 
+    def test_empty_semantics(self):
+        sem = TestMaskTransits()._sem([("stay", "A", 0, 100)]).iloc[:0]
+        masked, gaps = _mask_transits(sem, {"H1"})
+        assert masked.empty and list(masked.columns) == list(sem.columns)
+        assert list(masked.dtypes) == list(sem.dtypes)
+        assert gaps.empty and list(gaps.columns) == [
+            "device_id", "from_region", "to_region", "gap_start", "gap_end"
+        ]
+
 
 class TestHarnessesSmoke:
     def test_table2_tiny(self, spark):

@@ -264,8 +264,18 @@ class TestSparkEqualsSerial:
 
 class TestPlan:
     def test_one_shuffle_per_device_stage(self, spark, translation):
-        """Clean+annotate and complement each shuffle once by device,
-        into one partition per core; no other exchange is in the plan."""
+        """Only the first pass shuffles, by device into one partition per
+        core; the Complementor runs on its cached output in place, and no
+        other exchange is in the plan."""
         translation.complemented.toPandas()
         n = spark.sparkContext.defaultParallelism
-        assert _shuffle_partitions(translation.complemented) == [n, n]
+        assert _shuffle_partitions(translation.complemented) == [n]
+
+    def test_first_pass_keeps_each_device_in_one_partition(self, spark, translation):
+        parts = translation.first_pass.select("device_id").rdd.glom().collect()
+        assert len(parts) == spark.sparkContext.defaultParallelism
+        homes: dict[str, set[int]] = {}
+        for i, rows in enumerate(parts):
+            for row in rows:
+                homes.setdefault(row["device_id"], set()).add(i)
+        assert homes and all(len(h) == 1 for h in homes.values())
