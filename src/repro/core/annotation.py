@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -28,12 +27,7 @@ from pyspark.sql import types as T
 from ..dsm.model import DigitalSpaceModel
 from .events import EventModel
 from .features import label_runs, runs_features
-from .splitting import (
-    DEFAULT_EPS_M,
-    DEFAULT_MIN_SNIPPET_S,
-    DEFAULT_WINDOW_S,
-    split_sequence,
-)
+from .splitting import split_sequence
 from .stage import per_device
 
 SEMANTICS_SCHEMA = T.StructType(
@@ -65,18 +59,10 @@ def dominant_region(regions: Sequence[str | None]) -> str | None:
 
 
 def annotate_sequence(
-    pdf: pd.DataFrame,
-    dsm: DigitalSpaceModel,
-    model: EventModel,
-    *,
-    eps_m: float = DEFAULT_EPS_M,
-    window_s: float = DEFAULT_WINDOW_S,
-    min_snippet_s: float = DEFAULT_MIN_SNIPPET_S,
+    pdf: pd.DataFrame, dsm: DigitalSpaceModel, model: EventModel
 ) -> pd.DataFrame:
     """Annotate one device's cleaned sequence into mobility semantics."""
-    g = split_sequence(
-        pdf, eps_m=eps_m, window_s=window_s, min_snippet_s=min_snippet_s
-    )
+    g = split_sequence(pdf)
     if g.empty:
         return pd.DataFrame(columns=SEMANTICS_COLUMNS)
     regions = dsm.locate_regions(
@@ -122,16 +108,7 @@ def annotate_sequence(
 
 
 def annotate(
-    cleaned: DataFrame,
-    dsm: DigitalSpaceModel,
-    model: EventModel,
-    *,
-    eps_m: float = DEFAULT_EPS_M,
-    window_s: float = DEFAULT_WINDOW_S,
-    min_snippet_s: float = DEFAULT_MIN_SNIPPET_S,
+    cleaned: DataFrame, dsm: DigitalSpaceModel, model: EventModel
 ) -> DataFrame:
     """Distributed annotation of all devices' cleaned sequences."""
-    kernel = partial(
-        annotate_sequence, eps_m=eps_m, window_s=window_s, min_snippet_s=min_snippet_s
-    )
-    return per_device(cleaned, kernel, SEMANTICS_SCHEMA, dsm, model)
+    return per_device(cleaned, annotate_sequence, SEMANTICS_SCHEMA, dsm, model)

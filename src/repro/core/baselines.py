@@ -13,8 +13,6 @@ topology-only Complementor baseline for T4 lives in
 """
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -34,7 +32,6 @@ def stop_move_sequence(
     pdf: pd.DataFrame,
     dsm: DigitalSpaceModel,
     *,
-    stop_speed: float = DEFAULT_STOP_SPEED,
     min_stop_s: float = DEFAULT_MIN_STOP_S,
 ) -> pd.DataFrame:
     """Velocity-threshold stop/move annotation of one raw sequence.
@@ -56,7 +53,7 @@ def stop_move_sequence(
         with np.errstate(divide="ignore", invalid="ignore"):
             speed[1:] = np.where(dt > 0, step / dt, 0.0)
         speed[0] = speed[1]
-    slow = speed <= stop_speed
+    slow = speed <= DEFAULT_STOP_SPEED
     regions = dsm.locate_regions(x, y, g["floor"].to_numpy())
 
     # Runs of slow records are stop candidates; sub-threshold stops fall
@@ -90,14 +87,7 @@ def stop_move_sequence(
     return pd.DataFrame(visits, columns=SEMANTICS_COLUMNS)
 
 
-def stop_move_baseline(
-    raw: DataFrame,
-    dsm: DigitalSpaceModel,
-    *,
-    stop_speed: float = DEFAULT_STOP_SPEED,
-    min_stop_s: float = DEFAULT_MIN_STOP_S,
-) -> DataFrame:
+def stop_move_baseline(raw: DataFrame, dsm: DigitalSpaceModel) -> DataFrame:
     """Distributed stop/move baseline over all devices (no cleaning, no
     learning, no topology, no complementing)."""
-    kernel = partial(stop_move_sequence, stop_speed=stop_speed, min_stop_s=min_stop_s)
-    return per_device(raw, kernel, SEMANTICS_SCHEMA, dsm)
+    return per_device(raw, stop_move_sequence, SEMANTICS_SCHEMA, dsm)

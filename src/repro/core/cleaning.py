@@ -20,7 +20,6 @@ time-proportionally. The scan runs distributed through the shared
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -66,7 +65,6 @@ def _speed_check(
     floor: np.ndarray,
     ts: np.ndarray,
     ent: list[str],
-    vmax: float,
 ) -> Callable[[int, int], bool]:
     """``ok(i, j)`` over one device's arrays and resolved entities: is
     record j indoor-reachable from record i within the walking-speed
@@ -78,7 +76,7 @@ def _speed_check(
         dt = ts[j] - ts[i]
         if dt <= 0:
             return False
-        budget = vmax * dt
+        budget = DEFAULT_VMAX * dt
         if floor[i] == floor[j]:
             if np.hypot(x[j] - x[i], y[j] - y[i]) > budget:
                 return False
@@ -91,11 +89,7 @@ def _speed_check(
 
 
 def clean_sequence(
-    pdf: pd.DataFrame,
-    dsm: DigitalSpaceModel,
-    graph: IndoorGraph,
-    *,
-    vmax: float = DEFAULT_VMAX,
+    pdf: pd.DataFrame, dsm: DigitalSpaceModel, graph: IndoorGraph
 ) -> pd.DataFrame:
     """Clean one device's sequence; returns the cleaned records with a
     ``repair`` column (``none`` / ``floor`` / ``interp``)."""
@@ -122,7 +116,7 @@ def clean_sequence(
     repair[changed] = "floor"
 
     ent = graph.resolve_entities(x, y, floor)
-    ok = _speed_check(graph, x, y, floor, ts, ent, vmax)
+    ok = _speed_check(graph, x, y, floor, ts, ent)
 
     # Robust initial anchor: first record that agrees with its successor
     # (guards against an outlier in record 0 poisoning the whole scan).
@@ -173,20 +167,16 @@ def clean_sequence(
 
 
 def violation_sequence(
-    pdf: pd.DataFrame,
-    dsm: DigitalSpaceModel,
-    graph: IndoorGraph,
-    *,
-    vmax: float = DEFAULT_VMAX,
+    pdf: pd.DataFrame, dsm: DigitalSpaceModel, graph: IndoorGraph
 ) -> pd.DataFrame:
     """Count one device's speed-constraint violations: consecutive
-    record pairs whose indoor speed is above ``vmax``."""
+    record pairs whose indoor speed is above ``DEFAULT_VMAX``."""
     g = pdf.sort_values("ts")
     x = g["x"].to_numpy(dtype=float)
     y = g["y"].to_numpy(dtype=float)
     fl = g["floor"].to_numpy(dtype=int)
     ts = g["ts"].to_numpy(dtype=float)
-    ok = _speed_check(graph, x, y, fl, ts, graph.resolve_entities(x, y, fl), vmax)
+    ok = _speed_check(graph, x, y, fl, ts, graph.resolve_entities(x, y, fl))
     viol = sum(not ok(i, i + 1) for i in range(len(g) - 1))
     return pd.DataFrame(
         {
@@ -224,21 +214,14 @@ def _majority_floor(floor: np.ndarray, half_window: int = 5) -> np.ndarray:
     return np.where(winners[pos, idx], floor, vals[winners.argmax(axis=1)])
 
 
-def clean(
-    raw: DataFrame,
-    dsm: DigitalSpaceModel,
-    *,
-    vmax: float = DEFAULT_VMAX,
-) -> DataFrame:
+def clean(raw: DataFrame, dsm: DigitalSpaceModel) -> DataFrame:
     """Distributed cleaning: one group per device, DSM broadcast."""
-    kernel = partial(clean_sequence, vmax=vmax)
-    return per_device(raw, kernel, CLEANED_SCHEMA, dsm, IndoorGraph(dsm))
+    return per_device(raw, clean_sequence, CLEANED_SCHEMA, dsm, IndoorGraph(dsm))
 
 
-def violation_stats(
-    records: DataFrame, dsm: DigitalSpaceModel, *, vmax: float = DEFAULT_VMAX
-) -> DataFrame:
+def violation_stats(records: DataFrame, dsm: DigitalSpaceModel) -> DataFrame:
     """Per-device count of speed-constraint violations (consecutive-pair
-    indoor speed above ``vmax``) — the Cleaner's acceptance metric."""
-    kernel = partial(violation_sequence, vmax=vmax)
-    return per_device(records, kernel, VIOLATION_SCHEMA, dsm, IndoorGraph(dsm))
+    indoor speed above ``DEFAULT_VMAX``) — the Cleaner's acceptance metric."""
+    return per_device(
+        records, violation_sequence, VIOLATION_SCHEMA, dsm, IndoorGraph(dsm)
+    )

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from functools import partial
-from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -41,7 +39,6 @@ def infer_path(
     start: str,
     end: str,
     *,
-    alpha: float = DEFAULT_ALPHA,
     mode: str = "map",
 ) -> list[str] | None:
     """Most-likely intermediate region sequence from ``start`` to ``end``
@@ -60,7 +57,9 @@ def infer_path(
             return 1.0
         nbrs = adjacency[a]
         total = sum(trans_counts.get((a, nb), 0.0) for nb in nbrs)
-        p = (trans_counts.get((a, b), 0.0) + alpha) / (total + alpha * len(nbrs))
+        p = (trans_counts.get((a, b), 0.0) + DEFAULT_ALPHA) / (
+            total + DEFAULT_ALPHA * len(nbrs)
+        )
         return -math.log(max(p, 1e-12))
 
     dist: dict[str, float] = {start: 0.0}
@@ -80,7 +79,7 @@ def infer_path(
                 dist[v] = nd
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
-    if end not in prev and end != start:
+    if end not in prev:
         return None
     path = [end]
     while path[-1] != start:
@@ -96,7 +95,6 @@ def complement_sequence(
     trans_counts: dict[tuple[str, str], float],
     *,
     gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
-    alpha: float = DEFAULT_ALPHA,
     mode: str = "map",
 ) -> pd.DataFrame:
     """Complement one device's semantics sequence: infer the missing
@@ -114,7 +112,7 @@ def complement_sequence(
         a, b = cur["region_id"], nxt["region_id"]
         if a is None or b is None:
             continue
-        mids = infer_path(adjacency, trans_counts, a, b, alpha=alpha, mode=mode)
+        mids = infer_path(adjacency, trans_counts, a, b, mode=mode)
         if not mids:
             continue
         # Tile the gap uniformly across the inferred regions.
@@ -140,48 +138,32 @@ def complement_sequence(
     return out
 
 
-def complement_stage(
-    dsm: DigitalSpaceModel,
-    trans_counts: dict[tuple[str, str], float],
-    *,
-    gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
-    alpha: float = DEFAULT_ALPHA,
-    mode: str = "map",
-) -> tuple[Callable[..., pd.DataFrame], tuple]:
-    """The Complementor's per-device kernel and the side data it is run
-    with, for the stage runner."""
-    kernel = partial(
-        complement_sequence, gap_threshold_s=gap_threshold_s, alpha=alpha, mode=mode
-    )
-    return kernel, (dsm, dsm.region_adjacency(), trans_counts)
-
-
 def complement(
     semantics: DataFrame,
     dsm: DigitalSpaceModel,
     trans_counts: dict[tuple[str, str], float],
-    *,
-    gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
-    alpha: float = DEFAULT_ALPHA,
-    mode: str = "map",
 ) -> DataFrame:
     """Distributed complementing of all devices' semantics sequences."""
-    kernel, side = complement_stage(
-        dsm, trans_counts, gap_threshold_s=gap_threshold_s, alpha=alpha, mode=mode
+    return per_device(
+        semantics,
+        complement_sequence,
+        SEMANTICS_SCHEMA,
+        dsm,
+        dsm.region_adjacency(),
+        trans_counts,
     )
-    return per_device(semantics, kernel, SEMANTICS_SCHEMA, *side)
 
 
-def find_gaps(semantics: DataFrame, *, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> DataFrame:
-    """Relational view of the gaps the Complementor would fill — useful
-    for tests and the T4 harness (columns: device_id, from_region,
-    to_region, gap_start, gap_end)."""
+def find_gaps(semantics: DataFrame) -> DataFrame:
+    """Relational view of the gaps the Complementor fills: consecutive
+    semantics more than ``DEFAULT_GAP_THRESHOLD_S`` apart (columns:
+    device_id, from_region, to_region, gap_start, gap_end)."""
     w = Window.partitionBy("device_id").orderBy("seq")
     return (
         semantics.withColumn("nxt_start", F.lead("t_start").over(w))
         .withColumn("nxt_region", F.lead("region_id").over(w))
         .where(F.col("nxt_start").isNotNull())
-        .where(F.col("nxt_start") - F.col("t_end") > gap_threshold_s)
+        .where(F.col("nxt_start") - F.col("t_end") > DEFAULT_GAP_THRESHOLD_S)
         .select(
             "device_id",
             F.col("region_id").alias("from_region"),

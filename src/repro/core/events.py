@@ -16,13 +16,15 @@ import pandas as pd
 
 from .features import FEATURE_NAMES, feature_matrix, features_frame
 
+#: L2 regularization weight and gradient-descent step size.
+DEFAULT_L2 = 1e-3
+DEFAULT_LR = 0.1
+
 
 class EventModel:
     """Multinomial logistic regression over snippet features."""
 
-    def __init__(self, *, l2: float = 1e-3, lr: float = 0.1, n_iter: int = 800):
-        self.l2 = l2
-        self.lr = lr
+    def __init__(self, *, n_iter: int = 800):
         self.n_iter = n_iter
         self.classes_: list[str] = []
         self._mu: np.ndarray | None = None
@@ -33,16 +35,16 @@ class EventModel:
     def fit(self, features: pd.DataFrame, labels: pd.Series) -> "EventModel":
         """Train on a feature frame (``FEATURE_NAMES`` columns) and labels."""
         x = feature_matrix(features)
-        y = labels.to_numpy()
-        self.classes_ = sorted(pd.unique(y))
+        classes, yi = np.unique(labels.to_numpy(), return_inverse=True)
+        self.classes_ = classes.tolist()
         if len(self.classes_) < 2:
             # Degenerate designation set: always predict the one class.
             self._w = None
             return self
         k = len(self.classes_)
-        yi = np.array([self.classes_.index(v) for v in y])
         self._mu = x.mean(axis=0)
-        self._sd = np.where(x.std(axis=0) > 1e-12, x.std(axis=0), 1.0)
+        sd = x.std(axis=0)
+        self._sd = np.where(sd > 1e-12, sd, 1.0)
         xs = (x - self._mu) / self._sd
         xs = np.hstack([xs, np.ones((len(xs), 1))])
         onehot = np.eye(k)[yi]
@@ -54,8 +56,8 @@ class EventModel:
             logits -= logits.max(axis=1, keepdims=True)
             p = np.exp(logits)
             p /= p.sum(axis=1, keepdims=True)
-            grad = xs.T @ (p - onehot) / n + self.l2 * w
-            w -= self.lr * grad
+            grad = xs.T @ (p - onehot) / n + DEFAULT_L2 * w
+            w -= DEFAULT_LR * grad
         self._w = w
         return self
 
@@ -83,9 +85,8 @@ class EventModel:
         return float((self.predict(features) == labels.to_numpy()).mean())
 
 
-def train_event_model(training_segments: pd.DataFrame, **kwargs) -> EventModel:
+def train_event_model(training_segments: pd.DataFrame) -> EventModel:
     """Convenience: features + fit from Event Editor ``training_segments``
     (columns ``segment_id, label, device_id, ts, x, y, floor``)."""
     feats = features_frame(training_segments)
-    model = EventModel(**kwargs)
-    return model.fit(feats[FEATURE_NAMES], feats["label"])
+    return EventModel().fit(feats[FEATURE_NAMES], feats["label"])

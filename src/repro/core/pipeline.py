@@ -8,7 +8,6 @@ input, output and intermediate data involved in the translation".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -18,11 +17,10 @@ from pyspark.sql import types as T
 from ..dsm.graph import IndoorGraph
 from ..dsm.model import DigitalSpaceModel
 from .annotation import SEMANTICS_COLUMNS, SEMANTICS_SCHEMA, annotate_sequence
-from .cleaning import CLEANED_COLUMNS, CLEANED_SCHEMA, DEFAULT_VMAX, clean_sequence
-from .complement import DEFAULT_GAP_THRESHOLD_S, complement_stage
+from .cleaning import CLEANED_COLUMNS, CLEANED_SCHEMA, clean_sequence
+from .complement import complement_sequence
 from .events import EventModel
 from .knowledge import KNOWLEDGE_SCHEMA, count_transitions, knowledge_to_dict
-from .splitting import DEFAULT_EPS_M, DEFAULT_MIN_SNIPPET_S, DEFAULT_WINDOW_S
 from .stage import per_device, per_device_in_place
 
 #: The first pass's output: a device's cleaned records and its semantics
@@ -59,32 +57,16 @@ def clean_annotate_sequence(
     dsm: DigitalSpaceModel,
     graph: IndoorGraph,
     model: EventModel,
-    *,
-    vmax: float = DEFAULT_VMAX,
-    eps_m: float = DEFAULT_EPS_M,
-    window_s: float = DEFAULT_WINDOW_S,
-    min_snippet_s: float = DEFAULT_MIN_SNIPPET_S,
 ) -> pd.DataFrame:
     """``clean_sequence`` then ``annotate_sequence`` on one device's raw
     records: the cleaned records followed by the semantics rows."""
-    cleaned = clean_sequence(pdf, dsm, graph, vmax=vmax)[CLEANED_COLUMNS]
-    semantics = annotate_sequence(
-        cleaned, dsm, model, eps_m=eps_m, window_s=window_s, min_snippet_s=min_snippet_s
-    )
+    cleaned = clean_sequence(pdf, dsm, graph)[CLEANED_COLUMNS]
+    semantics = annotate_sequence(cleaned, dsm, model)
     return pd.concat([cleaned, semantics], ignore_index=True)
 
 
 def translate(
-    raw: DataFrame,
-    dsm: DigitalSpaceModel,
-    model: EventModel,
-    *,
-    vmax: float = DEFAULT_VMAX,
-    eps_m: float = DEFAULT_EPS_M,
-    window_s: float = DEFAULT_WINDOW_S,
-    min_snippet_s: float = DEFAULT_MIN_SNIPPET_S,
-    gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
-    complement_mode: str = "map",
+    raw: DataFrame, dsm: DigitalSpaceModel, model: EventModel
 ) -> TranslationResult:
     """Run the three-layer translation over all selected sequences.
 
@@ -97,29 +79,21 @@ def translate(
     Complementor, runs on the cached semantics where each device already
     sits, with the knowledge broadcast, so the translation shuffles once.
     """
-    kernel = partial(
-        clean_annotate_sequence,
-        vmax=vmax,
-        eps_m=eps_m,
-        window_s=window_s,
-        min_snippet_s=min_snippet_s,
-    )
     first_pass = per_device(
-        raw, kernel, FIRST_PASS_SCHEMA, dsm, IndoorGraph(dsm), model
+        raw, clean_annotate_sequence, FIRST_PASS_SCHEMA, dsm, IndoorGraph(dsm), model
     ).cache()
     is_record = F.col("seq").isNull()
     cleaned = first_pass.where(is_record).select(*CLEANED_COLUMNS)
     semantics = first_pass.where(~is_record).select(*SEMANTICS_COLUMNS)
     transitions = count_transitions(semantics)
     knowledge = raw.sparkSession.createDataFrame(transitions, KNOWLEDGE_SCHEMA)
-    complement_kernel, side = complement_stage(
-        dsm,
-        knowledge_to_dict(transitions),
-        gap_threshold_s=gap_threshold_s,
-        mode=complement_mode,
-    )
     complemented = per_device_in_place(
-        semantics, complement_kernel, SEMANTICS_SCHEMA, *side
+        semantics,
+        complement_sequence,
+        SEMANTICS_SCHEMA,
+        dsm,
+        dsm.region_adjacency(),
+        knowledge_to_dict(transitions),
     )
     return TranslationResult(
         raw=raw,

@@ -27,9 +27,7 @@ def split_sequence(
     pdf: pd.DataFrame,
     *,
     eps_m: float = DEFAULT_EPS_M,
-    window_s: float = DEFAULT_WINDOW_S,
     min_snippet_s: float = DEFAULT_MIN_SNIPPET_S,
-    dense_frac: float = DEFAULT_DENSE_FRAC,
 ) -> pd.DataFrame:
     """Assign a ``snippet_id`` (0-based, time-ordered) to every record of
     one device's cleaned sequence."""
@@ -44,14 +42,14 @@ def split_sequence(
 
     # Row i of idx is record i's time window g[lo[i]:hi[i]], padded to the
     # widest window; the padding is masked out of near.
-    lo = np.searchsorted(ts, ts - window_s, side="left")
-    hi = np.searchsorted(ts, ts + window_s, side="right")
+    lo = np.searchsorted(ts, ts - DEFAULT_WINDOW_S, side="left")
+    hi = np.searchsorted(ts, ts + DEFAULT_WINDOW_S, side="right")
     idx = lo[:, None] + np.arange((hi - lo).max())
     inside = idx < hi[:, None]
     idx = np.minimum(idx, n - 1)
     d = np.hypot(x[idx] - x[:, None], y[idx] - y[:, None])
     near = (d <= eps_m) & (fl[idx] == fl[:, None]) & inside
-    dense = near.sum(axis=1) / (hi - lo) >= dense_frac
+    dense = near.sum(axis=1) / (hi - lo) >= DEFAULT_DENSE_FRAC
 
     # Runs of equal density state and floor → snippets, as [start, end).
     change = np.flatnonzero((dense[1:] != dense[:-1]) | (fl[1:] != fl[:-1])) + 1
